@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, rotation, xgate
+from .circuit import Circuit, Gate, register_width, rotation, xgate
 from .gates import AXES, is_unitary, rotation_matrix
-from .su3 import decompose_su3
+from .su3 import decompose_su3, su3_factors
 
 __all__ = [
     "MCRotation",
@@ -117,8 +117,9 @@ def mc_rotation_expand(mc: MCRotation) -> Circuit:
 def _split_blocks(u: np.ndarray) -> list[np.ndarray]:
     u = np.asarray(u, dtype=complex)
     dim = u.shape[0] if u.ndim == 2 and u.shape[0] == u.shape[1] else 0
-    width = max(round(np.log(dim) / np.log(3)), 1) if dim else 0
-    if dim == 0 or 3**width != dim:
+    # A 1x1 matrix (width 0) holds no 3x3 block, so it is rejected too.
+    width = register_width(dim)
+    if width < 1 or 3**width != dim:
         raise ValueError(f"matrix dimension must be a power of 3, got {u.shape}")
     nblocks = dim // 3
     blocks = []
@@ -140,26 +141,17 @@ def blockdiag_synthesize(u: np.ndarray) -> Circuit:
     factors first) and contains no gate with more than one control.
     """
     blocks = _split_blocks(u)
-    width = round(np.log(len(blocks) * 3) / np.log(3))
+    width = register_width(3 * len(blocks))
     params = []
     for j, b in enumerate(blocks):
         if not is_unitary(b, tol=1e-8) or abs(np.linalg.det(b) - 1) > 1e-8:
             raise ValueError(f"block {j} is not special unitary")
         params.append(decompose_su3(b))
-    # Matrix order of the nine factors, as in the single-qutrit factorization.
-    factors = [
-        ("Z02", [(-p.phi1 + p.psi1) / 2 for p in params]),
-        ("Y02", [-p.theta1 for p in params]),
-        ("Z02", [(-p.phi1 - p.psi1) / 2 for p in params]),
-        ("Z01", [p.psi2 / 2 for p in params]),
-        ("Y01", [-p.theta2 for p in params]),
-        ("Z01", [-p.psi2 / 2 for p in params]),
-        ("Z12", [(-p.phi3 + p.psi3) / 2 for p in params]),
-        ("Y12", [-p.theta3 for p in params]),
-        ("Z12", [(-p.phi3 - p.psi3) / 2 for p in params]),
-    ]
     ctrl_wires = tuple(range(1, width))
     gates: list[Gate] = []
-    for axis, angles in reversed(factors):
-        gates.extend(expand_mc_rotation(axis, np.array(angles), ctrl_wires, width))
+    # One column per factor in temporal order, holding every block's angle.
+    for column in zip(*(su3_factors(p) for p in params)):
+        axis = column[0][0]
+        angles = np.array([angle for _, angle in column])
+        gates.extend(expand_mc_rotation(axis, angles, ctrl_wires, width))
     return Circuit(width, tuple(gates))

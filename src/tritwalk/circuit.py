@@ -20,7 +20,7 @@ trip losslessly (floats via repr).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "parse_circuit",
     "shift_gates",
     "add_control",
+    "register_width",
 ]
 
 KINDS = ("rotation", "xgate", "phase", "custom")
@@ -160,24 +161,28 @@ class GateCounts:
         )
 
 
-def _apply_gate(t: np.ndarray, g: Gate, width: int, offset: int = 0, conj: bool = False) -> np.ndarray:
-    """Fold one gate into a tensor whose axes offset..offset+width-1 are wires.
+def register_width(dim: int) -> int:
+    """Smallest k >= 0 with 3^k >= dim: the qutrit wires needed to hold dim states."""
+    k = 0
+    while 3**k < dim:
+        k += 1
+    return k
 
-    Extra axes (batch columns, the second index set of a density matrix) pass
-    through untouched.  With conj=True the conjugated matrix is applied, which
-    together with offset=width is the right-side factor of rho -> G rho G†.
+
+def _apply_gate(t: np.ndarray, g: Gate) -> np.ndarray:
+    """Fold one gate into a tensor whose leading axes are wires (wire w on axis w-1).
+
+    Extra trailing axes (batch columns) pass through untouched.
     """
     m = gate_matrix(g)
-    if conj:
-        m = m.conj()
-    ax = offset + g.target - 1
+    ax = g.target - 1
     out = np.tensordot(m, t, axes=([1], [ax]))
     out = np.moveaxis(out, 0, ax)
     if g.controls:
         mask = np.ones((1,) * t.ndim, dtype=bool)
         for w, v in g.controls:
             shape = [1] * t.ndim
-            shape[offset + w - 1] = 3
+            shape[w - 1] = 3
             mask = mask & (np.arange(3) == v).reshape(shape)
         out = np.where(mask, out, t)
     return out
@@ -191,7 +196,7 @@ def embed_gate(width: int, g: Gate) -> np.ndarray:
     Circuit(width, (g,))  # reuse wire-range validation
     dim = 3**width
     t = np.eye(dim, dtype=complex).reshape((3,) * width + (dim,))
-    return _apply_gate(t, g, width).reshape(dim, dim)
+    return _apply_gate(t, g).reshape(dim, dim)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
@@ -199,7 +204,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     dim = 3**c.width
     t = np.eye(dim, dtype=complex).reshape((3,) * c.width + (dim,))
     for g in c.gates:
-        t = _apply_gate(t, g, c.width)
+        t = _apply_gate(t, g)
     return t.reshape(dim, dim)
 
 
@@ -211,19 +216,17 @@ def apply_state(c: Circuit, psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"state dimension {psi.shape} does not match width {c.width}")
     t = psi.reshape((3,) * c.width)
     for g in c.gates:
-        t = _apply_gate(t, g, c.width)
+        t = _apply_gate(t, g)
     return t.reshape(dim)
 
 
 def _invert_gate(g: Gate) -> Gate:
-    if g.kind == "rotation":
-        return Gate("rotation", g.target, axis=g.axis, angle=-g.angle, controls=g.controls)
-    if g.kind == "phase":
-        return Gate("phase", g.target, angle=-g.angle, controls=g.controls)
+    if g.kind in ("rotation", "phase"):
+        return replace(g, angle=-g.angle)
     if g.kind == "xgate":
         flip = {"X+1": "X+2", "X+2": "X+1"}
-        return Gate("xgate", g.target, xkind=flip.get(g.xkind, g.xkind), controls=g.controls)
-    return Gate("custom", g.target, matrix=g.matrix.conj().T, controls=g.controls)
+        return replace(g, xkind=flip.get(g.xkind, g.xkind))
+    return replace(g, matrix=g.matrix.conj().T)
 
 
 def inverse(c: Circuit) -> Circuit:
@@ -248,26 +251,15 @@ def count_gates(c: Circuit) -> GateCounts:
 
 def shift_gates(gates: Iterable[Gate], offset: int) -> list[Gate]:
     """The same gates with every wire index moved by ``offset``."""
-    out = []
-    for g in gates:
-        ctrls = tuple((w + offset, v) for w, v in g.controls)
-        out.append(
-            Gate(g.kind, g.target + offset, axis=g.axis, angle=g.angle,
-                 xkind=g.xkind, matrix=g.matrix, controls=ctrls)
-        )
-    return out
+    return [
+        replace(g, target=g.target + offset, controls=tuple((w + offset, v) for w, v in g.controls))
+        for g in gates
+    ]
 
 
 def add_control(gates: Iterable[Gate], wire: int, value: int) -> list[Gate]:
     """The same gates with one more control appended to each."""
-    out = []
-    for g in gates:
-        ctrls = g.controls + ((wire, value),)
-        out.append(
-            Gate(g.kind, g.target, axis=g.axis, angle=g.angle,
-                 xkind=g.xkind, matrix=g.matrix, controls=ctrls)
-        )
-    return out
+    return [replace(g, controls=g.controls + ((wire, value),)) for g in gates]
 
 
 def _format_gate(g: Gate) -> str:

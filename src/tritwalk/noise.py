@@ -8,7 +8,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuit import Circuit, Gate, circuit_unitary
+from .circuit import Circuit, Gate, circuit_unitary, register_width
 from .gates import x_matrix
 from .toffoli import lower_circuit
 
@@ -30,10 +30,7 @@ class KrausChannel:
             raise ValueError("channel needs at least one Kraus operator")
         ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
         dim = ops[0].shape[0] if ops[0].ndim == 2 else 0
-        arity = 0
-        while 3**arity < dim:
-            arity += 1
-        if dim == 0 or 3**arity != dim:
+        if 3 ** register_width(dim) != dim:
             raise ValueError("Kraus operators must be square with power-of-3 size")
         for op in ops:
             if op.shape != (dim, dim):
@@ -42,11 +39,7 @@ class KrausChannel:
 
     @property
     def arity(self) -> int:
-        dim = self.operators[0].shape[0]
-        count = 0
-        while 3**count < dim:
-            count += 1
-        return count
+        return register_width(self.operators[0].shape[0])
 
 
 def completeness_defect(ch: KrausChannel) -> float:
@@ -192,9 +185,7 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     dim = rho.shape[0]
-    width = 0
-    while 3**width < dim:
-        width += 1
+    width = register_width(dim)
     if 3**width != dim:
         raise ValueError("density dimension must be a power of 3")
     wires = tuple(wires)
@@ -207,25 +198,6 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
             raise ValueError(f"wire {w} outside register")
     t = rho.reshape((3,) * (2 * width))
     return _apply_channel_tensor(t, ch, wires, width).reshape(dim, dim)
-
-
-def _twirl_depolarizing(
-    t: np.ndarray, wires: tuple[int, ...], width: int, p1: float
-) -> np.ndarray:
-    # Same map as the explicit Weyl sum: mix toward I/3^k on the wires.
-    k = len(wires)
-    lam = 3 ** (2 * k) * clamped_p1(p1, k)
-    if lam == 0:
-        return t
-    ket = [w - 1 for w in wires]
-    bra = [width + w - 1 for w in wires]
-    front = np.moveaxis(t, ket + bra, range(2 * k))
-    rest_shape = front.shape[2 * k :]
-    traced = np.trace(front.reshape(3**k, 3**k, -1))
-    repl = np.multiply.outer(np.eye(3**k) / 3**k, traced.reshape(rest_shape))
-    repl = repl.reshape((3,) * (2 * k) + rest_shape)
-    repl = np.moveaxis(repl, range(2 * k), ket + bra)
-    return (1 - lam) * t + lam * repl
 
 
 def _support(g: Gate) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ on particular angle values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .gates import frobenius_distance, is_unitary, phase_matrix, rotation_matrix
 __all__ = [
     "Su3Params",
     "U3Decomposition",
+    "su3_factors",
     "decompose_su3",
     "reconstruct_su3",
     "params_to_circuit",
@@ -56,35 +58,31 @@ class U3Decomposition:
     su3: Su3Params
 
 
+def su3_factors(p: Su3Params) -> list[tuple[str, float]]:
+    """The nine (axis, angle) rotations of the factorization, in temporal order."""
+    return [
+        ("Z12", (-p.phi3 - p.psi3) / 2),
+        ("Y12", -p.theta3),
+        ("Z12", (-p.phi3 + p.psi3) / 2),
+        ("Z01", -p.psi2 / 2),
+        ("Y01", -p.theta2),
+        ("Z01", p.psi2 / 2),
+        ("Z02", (-p.phi1 - p.psi1) / 2),
+        ("Y02", -p.theta1),
+        ("Z02", (-p.phi1 + p.psi1) / 2),
+    ]
+
+
 def reconstruct_su3(p: Su3Params) -> np.ndarray:
     """Multiply out the nine-rotation factorization of the parameters."""
-    return (
-        rotation_matrix("Z02", (-p.phi1 + p.psi1) / 2)
-        @ rotation_matrix("Y02", -p.theta1)
-        @ rotation_matrix("Z02", (-p.phi1 - p.psi1) / 2)
-        @ rotation_matrix("Z01", p.psi2 / 2)
-        @ rotation_matrix("Y01", -p.theta2)
-        @ rotation_matrix("Z01", -p.psi2 / 2)
-        @ rotation_matrix("Z12", (-p.phi3 + p.psi3) / 2)
-        @ rotation_matrix("Y12", -p.theta3)
-        @ rotation_matrix("Z12", (-p.phi3 - p.psi3) / 2)
-    )
+    # Matrix order is the reverse of temporal order, multiplied left to right.
+    factors = reversed(su3_factors(p))
+    return reduce(np.matmul, [rotation_matrix(axis, angle) for axis, angle in factors])
 
 
 def params_to_circuit(p: Su3Params, wire: int) -> Circuit:
     """Nine-rotation circuit on one wire realizing reconstruct_su3(p)."""
-    gates = (
-        rotation("Z12", (-p.phi3 - p.psi3) / 2, wire),
-        rotation("Y12", -p.theta3, wire),
-        rotation("Z12", (-p.phi3 + p.psi3) / 2, wire),
-        rotation("Z01", -p.psi2 / 2, wire),
-        rotation("Y01", -p.theta2, wire),
-        rotation("Z01", p.psi2 / 2, wire),
-        rotation("Z02", (-p.phi1 - p.psi1) / 2, wire),
-        rotation("Y02", -p.theta1, wire),
-        rotation("Z02", (-p.phi1 + p.psi1) / 2, wire),
-    )
-    return Circuit(wire, gates)
+    return Circuit(wire, tuple(rotation(axis, angle, wire) for axis, angle in su3_factors(p)))
 
 
 def _arg(z: complex) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, add_control, phase, shift_gates, xgate
+from .circuit import Circuit, Gate, add_control, phase, register_width, shift_gates, xgate
 from .gates import is_unitary
 from .su3 import decompose_u3, params_to_circuit
 
@@ -66,10 +66,7 @@ class WalkGraph:
     @property
     def n(self) -> int:
         """Number of base-3 digits for the rotation register."""
-        n = 1
-        while 3**n < self.N:
-            n += 1
-        return n
+        return register_width(self.N)
 
     @property
     def circuit_width(self) -> int:

@@ -1,9 +1,10 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and reference maps for the test suite."""
 
 import numpy as np
 
 from tritwalk.circuit import Circuit, custom, phase, rotation, xgate
 from tritwalk.gates import AXES, X_KINDS
+from tritwalk.noise import clamped_p1
 
 
 def random_unitary(rng, dim=3):
@@ -36,3 +37,22 @@ def random_gate(rng, width):
 
 def random_circuit(rng, width, ngates):
     return Circuit(width, tuple(random_gate(rng, width) for _ in range(ngates)))
+
+
+def twirl_depolarizing(
+    t: np.ndarray, wires: tuple[int, ...], width: int, p1: float
+) -> np.ndarray:
+    # Same map as the explicit Weyl sum: mix toward I/3^k on the wires.
+    k = len(wires)
+    lam = 3 ** (2 * k) * clamped_p1(p1, k)
+    if lam == 0:
+        return t
+    ket = [w - 1 for w in wires]
+    bra = [width + w - 1 for w in wires]
+    front = np.moveaxis(t, ket + bra, range(2 * k))
+    rest_shape = front.shape[2 * k :]
+    traced = np.trace(front.reshape(3**k, 3**k, -1))
+    repl = np.multiply.outer(np.eye(3**k) / 3**k, traced.reshape(rest_shape))
+    repl = repl.reshape((3,) * (2 * k) + rest_shape)
+    repl = np.moveaxis(repl, range(2 * k), ket + bra)
+    return (1 - lam) * t + lam * repl

@@ -103,6 +103,8 @@ def test_blockdiag_rejects_bad_input():
     rng = np.random.default_rng(47)
     with pytest.raises(ValueError):
         blockdiag_synthesize(np.eye(6))  # not a power of 3
+    with pytest.raises(ValueError):
+        blockdiag_synthesize(np.eye(1))  # width 0 holds no 3x3 block
     u = random_blockdiag(rng, 2)
     u[0, 3] = 0.5  # off-block mass
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from tritwalk.circuit import (
     inverse,
     parse_circuit,
     phase,
+    register_width,
     rotation,
     serialize_circuit,
     xgate,
@@ -213,3 +214,12 @@ def test_parse_rejects_malformed():
         parse_circuit("CIRCUIT width=2\nGATE spin target=1\n")
     with pytest.raises(ValueError):
         parse_circuit("CIRCUIT width=2\nGATE rotation axis=Y01 angle=1 target=1 junk=3\n")
+
+
+def test_register_width_exact():
+    assert [register_width(d) for d in (0, 1, 2, 3, 4, 9, 10, 27)] == [0, 0, 1, 1, 2, 2, 3, 3]
+    # Exact at sizes where a float log would round either way.
+    for k in (12, 30, 40):
+        assert register_width(3**k) == k
+        assert register_width(3**k + 1) == k + 1
+        assert register_width(3**k - 1) == k

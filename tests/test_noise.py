@@ -16,7 +16,7 @@ from tritwalk.noise import (
 )
 from tritwalk.walk import CoinSpec, build_layer_cycle, build_layer_dihedral
 
-from helpers import random_unitary
+from helpers import random_unitary, twirl_depolarizing
 
 
 def random_density(rng, dim):
@@ -81,6 +81,8 @@ def test_kraus_channel_validation():
         KrausChannel("ragged", (np.eye(3), np.eye(9)))
     with pytest.raises(ValueError):
         KrausChannel("dim", (np.eye(4),))
+    # A 1x1 operator is a scalar on zero wires.
+    assert KrausChannel("scalar", (np.eye(1),)).arity == 0
     with pytest.raises(ValueError):
         amplitude_damping_channel(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -109,8 +111,6 @@ def test_apply_channel_validation():
 
 
 def test_twirl_matches_explicit_weyl_sum():
-    from tritwalk.noise import _twirl_depolarizing
-
     rng = np.random.default_rng(23)
     for wires, k in [((2,), 1), ((1, 3), 2), ((3, 1), 2)]:
         width = 3
@@ -118,7 +118,7 @@ def test_twirl_matches_explicit_weyl_sum():
         p1 = 0.4 * 3.0 ** (-2 * k)
         explicit = apply_channel(rho, depolarizing_channel(k, p1), wires)
         t = rho.reshape((3,) * 6)
-        fast = _twirl_depolarizing(t, wires, width, p1).reshape(27, 27)
+        fast = twirl_depolarizing(t, wires, width, p1).reshape(27, 27)
         assert np.linalg.norm(fast - explicit) < 1e-12
 
 

@@ -4,6 +4,7 @@ from helpers import random_circuit, random_unitary
 
 from tritwalk.circuit import (
     Circuit,
+    apply_state,
     circuit_unitary,
     count_gates,
     embed_gate,
@@ -13,7 +14,6 @@ from tritwalk.circuit import (
 )
 from tritwalk.gates import frobenius_distance
 from tritwalk.toffoli import (
-    _compensate_defect,
     compile_mc_x_target_first,
     compile_mc_x_target_last,
     lower_circuit,
@@ -21,6 +21,7 @@ from tritwalk.toffoli import (
     mc_phase_gates,
     p_gate_circuit,
 )
+from tritwalk.walk import CoinSpec, build_layer_cycle, build_layer_dihedral
 
 
 def mc_phase_reference(width, theta, controls):
@@ -83,23 +84,49 @@ def test_target_last_pinned_stage_counts():
         assert c2.two_qutrit_controlled == 4 * per_ladder_two
 
 
-def test_compensation_repairs_synthetic_defect():
-    # Inject a known active-pattern phase and let the checker repair it.
-    n, a = 2, 2
-    controls = ((1, a),)
-    clean = list(compile_mc_x_target_last(n, a, "X+1").gates)
-    defective = clean + mc_phase_gates(0.4, controls)
-    reference = mc_x_reference(n, a, "X+1", 2)
-    fixed = _compensate_defect(defective, n, controls, reference)
-    assert len(fixed) > len(defective)
-    assert frobenius_distance(circuit_unitary(Circuit(n, tuple(fixed))), reference) < 1e-9
+def test_mc_x_matches_gate_on_random_states():
+    # Wider registers than the dense-unitary tests, compared state by state
+    # so the 3^n x 3^n unitary is never formed.
+    rng = np.random.default_rng(71)
+
+    def check(compiled, x, target, a):
+        n = compiled.width
+        controls = tuple((w, a) for w in range(1, n + 1) if w != target)
+        ideal = Circuit(n, (xgate(x, target, controls),))
+        for _ in range(2):
+            psi = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+            psi /= np.linalg.norm(psi)
+            residual = np.linalg.norm(apply_state(compiled, psi) - apply_state(ideal, psi))
+            assert residual < 1e-9, (n, a, x, target)
+
+    for n in (2, 3, 4, 5):
+        for a in (0, 1, 2):
+            for x in ("X+1", "X+2", "X01", "X12", "X02"):
+                check(compile_mc_x_target_last(n, a, x), x, n, a)
+    for n in (4, 5):
+        for a in (0, 2):
+            for x in ("X+1", "X+2"):
+                check(compile_mc_x_target_first(n, a, x), x, 1, a)
 
 
-def test_compensation_rejects_non_diagonal():
-    n, controls = 2, ((1, 2),)
-    broken = [rotation("Y01", 0.3, 2)]
-    with pytest.raises(ValueError):
-        _compensate_defect(broken, n, controls, mc_x_reference(n, 2, "X+1", 2))
+def test_lowered_layer_counts_pinned():
+    # (two-qutrit gates, total gates) of fully lowered Grover-coin layers,
+    # N = 3^n for n = 2..5.
+    grover = CoinSpec("xclass", theta=np.pi)
+    families = {
+        ("dihedral", None): [(418, 643), (1378, 2089), (4282, 6451), (13018, 19561)],
+        ("cycle", 0): [(98, 161), (410, 635), (1370, 2081), (4274, 6443)],
+        ("cycle", 2): [(164, 263), (684, 1053), (2284, 3463), (7124, 10733)],
+    }
+    for (kind, a), pinned in families.items():
+        for n, want in zip(range(2, 6), pinned):
+            if kind == "dihedral":
+                layer = build_layer_dihedral(3**n, grover)
+            else:
+                layer = build_layer_cycle(3**n, grover, a)
+            lowered = lower_circuit(layer)
+            got = (count_gates(lowered).two_qutrit_controlled, len(lowered))
+            assert got == want, (kind, a, n)
 
 
 def test_p_gate_permutation():
