@@ -20,6 +20,7 @@ trip losslessly (floats via repr).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -36,6 +37,7 @@ __all__ = [
     "phase",
     "custom",
     "gate_matrix",
+    "apply_local",
     "embed_gate",
     "circuit_unitary",
     "apply_state",
@@ -169,15 +171,29 @@ def register_width(dim: int) -> int:
     return k
 
 
+def apply_local(t: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Contract a square operator into the listed axes of a tensor.
+
+    ``op`` acts on the joint index of ``axes``, the first listed most
+    significant; the axes may have any sizes.  The result keeps every axis
+    in its place, so a wire tensor stays a wire tensor.
+    """
+    axes = list(axes)
+    k = len(axes)
+    shape = tuple(t.shape[a] for a in axes)
+    size = math.prod(shape)
+    if op.shape != (size, size):
+        raise ValueError(f"operator shape {op.shape} does not fit axes of sizes {shape}")
+    out = np.tensordot(op.reshape(shape + shape), t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
 def _apply_gate(t: np.ndarray, g: Gate) -> np.ndarray:
     """Fold one gate into a tensor whose leading axes are wires (wire w on axis w-1).
 
     Extra trailing axes (batch columns) pass through untouched.
     """
-    m = gate_matrix(g)
-    ax = g.target - 1
-    out = np.tensordot(m, t, axes=([1], [ax]))
-    out = np.moveaxis(out, 0, ax)
+    out = apply_local(t, gate_matrix(g), (g.target - 1,))
     if g.controls:
         mask = np.ones((1,) * t.ndim, dtype=bool)
         for w, v in g.controls:
@@ -193,10 +209,7 @@ def embed_gate(width: int, g: Gate) -> np.ndarray:
 
     Wire 1 is the most significant base-3 digit of the basis index.
     """
-    Circuit(width, (g,))  # reuse wire-range validation
-    dim = 3**width
-    t = np.eye(dim, dtype=complex).reshape((3,) * width + (dim,))
-    return _apply_gate(t, g).reshape(dim, dim)
+    return circuit_unitary(Circuit(width, (g,)))
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

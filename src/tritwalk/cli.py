@@ -16,12 +16,23 @@ from .blockdiag import blockdiag_synthesize
 from .circuit import apply_state, circuit_unitary, count_gates
 from .config import ExperimentConfig, build_initial_state, load_config
 from .gates import frobenius_distance
-from .noise import NoiseConfig, clamped_p1, resolve_noise, simulate_noisy_walk
+from .noise import NoiseConfig, clamped_p1, idle_wires, resolve_noise, simulate_noisy_walk
 from .su3 import decompose_u3
 from .toffoli import lower_circuit
 from .walk import CoinSpec, WalkGraph, build_layer_cycle, build_layer_dihedral
 
 _FORMAT = "tritwalk-walk-1"
+# Metadata that must agree before two walk runs can be compared.
+_MATCH_KEYS = (
+    "graph",
+    "vertices",
+    "liveliness",
+    "coin_kind",
+    "coin_theta",
+    "initial_vertex",
+    "steps",
+    "average_includes_t0",
+)
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -92,6 +103,11 @@ def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribut
     else:
         layer = build_layer_cycle(g.N, cfg.coin, g.liveliness)
     resolved = resolve_noise(noise)
+    if resolved.idle_kind != "none" and not idle_wires(layer, resolved.idle_scope):
+        raise ValueError(
+            "idle noise acts on no wire: walk layers keep every wire busy, "
+            "so set idle_scope = all"
+        )
     psi = build_initial_state(cfg)
     dists = [vertex_distribution(psi, g)]
     if not resolved.gate_noise_enabled and resolved.idle_kind == "none":
@@ -238,7 +254,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         rows = []
         for path in args.noisy:
             meta, dist = _parse_walk_csv(path)
-            for key in ("graph", "vertices", "liveliness"):
+            for key in _MATCH_KEYS:
                 if meta.get(key) != ideal_meta.get(key):
                     raise ValueError(
                         f"{path}: {key}={meta.get(key)!r} does not match ideal {ideal_meta.get(key)!r}"
@@ -282,7 +298,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         else:
             layer = build_layer_cycle(vertices, coin, args.liveliness)
         counts = count_gates(lower_circuit(layer))
-        assert counts.multi_controlled == 0
         two_qutrit.append(counts.two_qutrit_controlled)
         lines.append(
             f"{args.graph},{n},{vertices},{counts.one_qutrit_rotation},"

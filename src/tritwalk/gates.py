@@ -42,12 +42,10 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
     and the Z family phases exp(+i theta), exp(-i theta) on the two levels of
     the pair.
     """
-    if axis not in _PAIRS and axis[1:] not in _PAIRS:
+    if axis not in AXES:
         raise ValueError(f"unknown rotation axis {axis!r}")
-    family, pair = axis[0], axis[1:]
-    if family not in "XYZ" or pair not in _PAIRS:
-        raise ValueError(f"unknown rotation axis {axis!r}")
-    p, q = _PAIRS[pair]
+    family = axis[0]
+    p, q = _PAIRS[axis[1:]]
     m = np.eye(3, dtype=complex)
     if family == "Z":
         m[p, p] = np.exp(1j * theta)
@@ -71,8 +69,6 @@ def x_matrix(kind: str) -> np.ndarray:
     X+1 maps |p> to |p+1 mod 3>, X+2 maps |p> to |p+2 mod 3>; the
     transpositions swap the two named levels.
     """
-    if kind in _PAIRS:
-        kind = "X" + kind
     m = np.zeros((3, 3), dtype=complex)
     if kind in ("X01", "X12", "X02"):
         p, q = _PAIRS[kind[1:]]

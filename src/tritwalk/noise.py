@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circuit import Circuit, Gate, circuit_unitary, register_width
+from .circuit import Circuit, Gate, apply_local, circuit_unitary, embed_gate, register_width
 from .gates import x_matrix
 from .toffoli import lower_circuit
 
@@ -153,32 +153,6 @@ def clamped_p1(p1: float, k: int) -> float:
     return min(p1, 3.0 ** (-2 * k))
 
 
-def _apply_operator(
-    t: np.ndarray,
-    m: np.ndarray,
-    wires: tuple[int, ...],
-    width: int,
-    offset: int,
-    conj: bool,
-) -> np.ndarray:
-    k = len(wires)
-    op = (m.conj() if conj else m).reshape((3,) * (2 * k))
-    axes = [offset + w - 1 for w in wires]
-    t = np.tensordot(op, t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(t, list(range(k)), axes)
-
-
-def _apply_channel_tensor(
-    t: np.ndarray, ch: KrausChannel, wires: tuple[int, ...], width: int
-) -> np.ndarray:
-    out = None
-    for op in ch.operators:
-        term = _apply_operator(t, op, wires, width, 0, conj=False)
-        term = _apply_operator(term, op, wires, width, width, conj=True)
-        out = term if out is None else out + term
-    return out
-
-
 def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> np.ndarray:
     """Kraus-sum application of ch to the given wires of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
@@ -197,41 +171,43 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
         if not 1 <= w <= width:
             raise ValueError(f"wire {w} outside register")
     t = rho.reshape((3,) * (2 * width))
-    return _apply_channel_tensor(t, ch, wires, width).reshape(dim, dim)
+    ket = [w - 1 for w in wires]
+    bra = [width + w - 1 for w in wires]
+    out = sum(apply_local(apply_local(t, op, ket), op.conj(), bra) for op in ch.operators)
+    return out.reshape(dim, dim)
 
 
 def _support(g: Gate) -> tuple[int, ...]:
     return (g.target,) + tuple(w for w, _ in g.controls)
 
 
-# The noisy path works on the density as a (9,)*width tensor whose axis j
-# combines ket and bra trit j, so one gate plus its depolarizing twirl is
-# a single local superoperator contraction.
+def idle_wires(circuit: Circuit, scope: str) -> tuple[int, ...]:
+    """Wires that idle damping acts on: every wire, or those no gate touches."""
+    if scope == "all":
+        return tuple(range(1, circuit.width + 1))
+    touched = {w for g in circuit.gates for w in _support(g)}
+    return tuple(w for w in range(1, circuit.width + 1) if w not in touched)
+
+
+# The noisy path keeps the density as one (3,)*2*width tensor whose axes 2j
+# and 2j+1 are the ket and bra trits of wire j+1.  A superoperator on k
+# wires is a 9^k x 9^k matrix indexed in the same (ket, bra) pair order, so
+# one gate plus its depolarizing twirl is a single apply_local contraction.
 
 _PAIR_ID = np.eye(3).reshape(9)
 
 
-def _support_unitary(g: Gate, support: tuple[int, ...]) -> np.ndarray:
-    from .circuit import gate_matrix
-
-    u = gate_matrix(g)
-    if len(support) == 1:
-        return u
-    ((cw, cv),) = g.controls
-    fire = np.zeros((3, 3))
-    fire[cv, cv] = 1
-    rest = np.eye(3) - fire
-    if support[0] == cw:
-        return np.kron(fire, u) + np.kron(rest, np.eye(3))
-    return np.kron(u, fire) + np.kron(np.eye(3), rest)
+def _pairing(n: int) -> list[int]:
+    """Axis order taking (kets of n wires, bras of n wires) to per-wire pairs."""
+    return [x for i in range(n) for x in (i, n + i)]
 
 
-def _conj_superop(u: np.ndarray, k: int) -> np.ndarray:
-    m = np.kron(u, u.conj())
-    if k == 2:
-        # kron orders indices (kets, bras); regroup per wire pairs
-        m = m.reshape((3,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(81, 81)
-    return m
+def _superop(ops: Iterable[np.ndarray], k: int) -> np.ndarray:
+    """Pair-ordered superoperator of the Kraus sum over ops on k wires."""
+    m = sum(np.kron(op, op.conj()) for op in ops)
+    pair = _pairing(k)
+    perm = pair + [2 * k + x for x in pair]
+    return m.reshape((3,) * (4 * k)).transpose(perm).reshape(9**k, 9**k)
 
 
 def _twirl_superop(k: int, p1: float) -> np.ndarray:
@@ -242,33 +218,10 @@ def _twirl_superop(k: int, p1: float) -> np.ndarray:
     return (1 - lam) * np.eye(9**k) + (lam / 3**k) * np.outer(ident, ident)
 
 
-def _channel_superop(ch: KrausChannel) -> np.ndarray:
-    return sum(np.kron(op, op.conj()) for op in ch.operators)
-
-
 def _promote_superop(m: np.ndarray, axes: tuple[int, ...], to: tuple[int, ...]) -> np.ndarray:
     if axes == to:
         return m
     return np.kron(m, np.eye(9)) if axes[0] == to[0] else np.kron(np.eye(9), m)
-
-
-def _apply_superop(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    k = len(axes)
-    op = m.reshape((9,) * (2 * k))
-    t = np.tensordot(op, t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(t, list(range(k)), axes)
-
-
-def _interleave(rho: np.ndarray, width: int) -> np.ndarray:
-    perm = [x for i in range(width) for x in (i, width + i)]
-    return rho.reshape((3,) * (2 * width)).transpose(perm).reshape((9,) * width)
-
-
-def _deinterleave(t: np.ndarray, width: int) -> np.ndarray:
-    perm = [x for i in range(width) for x in (i, width + i)]
-    inverse = np.argsort(perm)
-    dim = 3**width
-    return t.reshape((3,) * (2 * width)).transpose(inverse).reshape(dim, dim)
 
 
 def simulate_noisy_walk(
@@ -300,54 +253,50 @@ def simulate_noisy_walk(
 
     cfg = resolve_noise(noise)
     circuit = lower_circuit(layer) if cfg.gate_noise_enabled else layer
+    dense = None if cfg.gate_noise_enabled else circuit_unitary(circuit)
 
-    gate_ops: list[tuple[tuple[int, ...], np.ndarray]] = []
+    # (wires, superoperator) in the order they act within one step.
+    ops: list[tuple[tuple[int, ...], np.ndarray]] = []
     if cfg.gate_noise_enabled:
+        twirls = {k: _twirl_superop(k, cfg.p1) for k in (1, 2)}
         for g in circuit.gates:
             support = tuple(sorted(_support(g)))
             k = len(support)
             if k > 2:
                 raise ValueError("lowered circuit still holds a multi-controlled gate")
-            m = _twirl_superop(k, cfg.p1) @ _conj_superop(_support_unitary(g, support), k)
-            axes = tuple(w - 1 for w in support)
+            local = {w: i + 1 for i, w in enumerate(support)}
+            moved = replace(g, target=local[g.target], controls=tuple((local[w], v) for w, v in g.controls))
+            m = twirls[k] @ _superop((embed_gate(k, moved),), k)
             # Fuse runs whose supports share a wire pair into one contraction;
             # exact, since each entry is already the gate's full noisy map.
-            if gate_ops:
-                prev_axes, prev = gate_ops[-1]
-                union = tuple(sorted(set(prev_axes) | set(axes)))
+            if ops:
+                prev_support, prev = ops[-1]
+                union = tuple(sorted(set(prev_support) | set(support)))
                 if len(union) <= 2:
-                    gate_ops[-1] = (
+                    ops[-1] = (
                         union,
-                        _promote_superop(m, axes, union) @ _promote_superop(prev, prev_axes, union),
+                        _promote_superop(m, support, union) @ _promote_superop(prev, prev_support, union),
                     )
                     continue
-            gate_ops.append((axes, m))
-        dense = None
-    else:
-        dense = circuit_unitary(circuit)
+            ops.append((support, m))
 
-    if cfg.idle_kind == "amplitude":
-        idle = amplitude_damping_channel(cfg.r1, cfg.r2, cfg.t_idle)
-    elif cfg.idle_kind == "phase":
-        idle = phase_damping_channel(cfg.r1, cfg.t_idle)
-    else:
-        idle = None
-    if cfg.idle_scope == "all":
-        idle_wires = tuple(range(1, width + 1))
-    else:
-        touched = {w for g in circuit.gates for w in _support(g)}
-        idle_wires = tuple(w for w in range(1, width + 1) if w not in touched)
-    idle_op = None if idle is None else _channel_superop(idle)
+    if cfg.idle_kind != "none":
+        if cfg.idle_kind == "amplitude":
+            idle = amplitude_damping_channel(cfg.r1, cfg.r2, cfg.t_idle)
+        else:
+            idle = phase_damping_channel(cfg.r1, cfg.t_idle)
+        m = _superop(idle.operators, 1)
+        ops += [((w,), m) for w in idle_wires(circuit, cfg.idle_scope)]
+    local_ops = [(tuple(a for w in wires for a in (2 * w - 2, 2 * w - 1)), m) for wires, m in ops]
 
-    t = _interleave(rho0, width)
+    shape = (3,) * (2 * width)
+    pair = _pairing(width)
+    unpair = list(np.argsort(pair))
+    t = rho0.reshape(shape).transpose(pair)
     for _ in range(steps):
         if dense is not None:
-            rho = dense @ _deinterleave(t, width) @ dense.conj().T
-            t = _interleave(rho, width)
-        else:
-            for axes, m in gate_ops:
-                t = _apply_superop(t, m, axes)
-        if idle_op is not None:
-            for w in idle_wires:
-                t = _apply_superop(t, idle_op, (w - 1,))
-        yield _deinterleave(t, width)
+            rho = dense @ t.transpose(unpair).reshape(dim, dim) @ dense.conj().T
+            t = rho.reshape(shape).transpose(pair)
+        for axes, m in local_ops:
+            t = apply_local(t, m, axes)
+        yield t.transpose(unpair).copy().reshape(dim, dim)

@@ -152,6 +152,23 @@ def test_walk_rejects_bad_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_walk_rejects_idle_noise_on_busy_wires(tmp_path, capsys):
+    # A walk layer touches every wire, so untouched-scope idle noise would
+    # act on nothing.
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(TINY_CYCLE)
+    for mode in ("idle", "both"):
+        args = ["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", mode, "--epsilon", "2", "--seed", "1"]
+        assert main(args) == 1
+        assert "idle_scope = all" in capsys.readouterr().err
+    cfg.write_text(TINY_CYCLE + "\n[noise]\nidle = amplitude\nr1 = 0.1\nr2 = 0.2\n")
+    assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "idle_scope = all" in capsys.readouterr().err
+    assert not (tmp_path / "walk.csv").exists()
+    cfg.write_text(TINY_CYCLE + "\n[noise]\nidle = amplitude\nr1 = 0.1\nr2 = 0.2\nidle_scope = all\n")
+    assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
 def test_compare_self_and_noisy(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(TINY_DIHEDRAL)
@@ -183,6 +200,14 @@ def test_compare_rejects_graph_mismatch(tmp_path, capsys):
     code = main(["compare", str(tmp_path / "a" / "walk.csv"), str(tmp_path / "b" / "walk.csv")])
     assert code == 1
     assert "does not match" in capsys.readouterr().err
+    # Same graph, different step count.
+    c = tmp_path / "c.ini"
+    c.write_text(TINY_CYCLE.replace("steps = 3", "steps = 4"))
+    assert main(["walk", "--config", str(c), "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    code = main(["compare", str(tmp_path / "b" / "walk.csv"), str(tmp_path / "c" / "walk.csv")])
+    assert code == 1
+    assert "steps='4' does not match" in capsys.readouterr().err
 
 
 def test_count_table(capsys):

@@ -72,6 +72,8 @@ def test_bad_axis_rejected():
         rotation_matrix("W01", 0.1)
     with pytest.raises(ValueError):
         rotation_matrix("X03", 0.1)
+    with pytest.raises(ValueError):
+        rotation_matrix("", 0.1)
 
 
 def test_x_gates_pinned():
@@ -98,6 +100,8 @@ def test_shift_transpose_relation():
     assert np.allclose(x_matrix("X+2"), x_matrix("X+1").T)
     with pytest.raises(ValueError):
         x_matrix("X+3")
+    with pytest.raises(ValueError):
+        x_matrix("01")
 
 
 def test_phase_matrix():

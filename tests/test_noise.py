@@ -16,7 +16,7 @@ from tritwalk.noise import (
 )
 from tritwalk.walk import CoinSpec, build_layer_cycle, build_layer_dihedral
 
-from helpers import random_unitary, twirl_depolarizing
+from helpers import random_circuit, random_unitary, twirl_depolarizing
 
 
 def random_density(rng, dim):
@@ -242,9 +242,12 @@ def test_gate_noise_on_random_unitary_layer_matches_channel_oracle():
 def test_superop_path_matches_explicit_kraus_route():
     # The simulator fuses each gate with its twirl into one superoperator;
     # replay the same schedule with embedded unitaries and explicit Kraus
-    # sums and demand agreement.
+    # sums and demand agreement.  The seeded random circuits add every gate
+    # kind, every control value and multi-controlled gates, which both
+    # routes see lowered.
     from tritwalk.circuit import Circuit, embed_gate, phase, rotation, xgate
     from tritwalk.noise import clamped_p1
+    from tritwalk.toffoli import lower_circuit
 
     width = 3
     gates = (
@@ -254,27 +257,40 @@ def test_superop_path_matches_explicit_kraus_route():
         rotation("Z12", -1.1, 3, ((1, 2),)),
         xgate("X02", 1),
     )
-    layer = Circuit(width, gates)
-    rng = np.random.default_rng(47)
-    rho = random_density(rng, 27)
-    p1, r1, r2 = 0.01, 0.3, 0.2
-    noise = NoiseConfig(
-        gate_noise_enabled=True, p1=p1, idle_kind="amplitude", r1=r1, r2=r2, idle_scope="all"
-    )
-    got = list(simulate_noisy_walk(layer, width, rho, 2, noise))
+    crng = np.random.default_rng(324)
+    randoms = [random_circuit(crng, width, 5) for _ in range(4)]
+    drawn = [g for c in randoms for g in c.gates]
+    assert {g.kind for g in drawn} == {"rotation", "xgate", "phase", "custom"}
+    assert {v for g in drawn for _, v in g.controls} == {0, 1, 2}
+    assert {g.kind for g in drawn if len(g.controls) == 2} == {"rotation", "xgate", "phase"}
+    cases = [(Circuit(width, gates), "amplitude")] + [
+        (c, kind) for c, kind in zip(randoms, ("amplitude", "phase") * 2)
+    ]
 
-    want = rho
-    idle = amplitude_damping_channel(r1, r2, 1.0)
-    for _ in range(2):
-        for g in gates:
-            u = embed_gate(width, g)
-            want = u @ want @ u.conj().T
-            support = (g.target,) + tuple(w for w, _ in g.controls)
-            k = len(support)
-            want = apply_channel(want, depolarizing_channel(k, clamped_p1(p1, k)), support)
-        for w in (1, 2, 3):
-            want = apply_channel(want, idle, (w,))
-    assert np.linalg.norm(got[-1] - want) < 1e-12
+    rng = np.random.default_rng(47)
+    p1, r1, r2 = 0.01, 0.3, 0.2
+    twirls = {k: depolarizing_channel(k, clamped_p1(p1, k)) for k in (1, 2)}
+    for layer, idle_kind in cases:
+        rho = random_density(rng, 27)
+        noise = NoiseConfig(
+            gate_noise_enabled=True, p1=p1, idle_kind=idle_kind, r1=r1, r2=r2, idle_scope="all"
+        )
+        got = list(simulate_noisy_walk(layer, width, rho, 2, noise))
+
+        if idle_kind == "amplitude":
+            idle = amplitude_damping_channel(r1, r2, 1.0)
+        else:
+            idle = phase_damping_channel(r1, 1.0)
+        want = rho
+        for _ in range(2):
+            for g in lower_circuit(layer).gates:
+                u = embed_gate(width, g)
+                want = u @ want @ u.conj().T
+                support = (g.target,) + tuple(w for w, _ in g.controls)
+                want = apply_channel(want, twirls[len(support)], support)
+            for w in (1, 2, 3):
+                want = apply_channel(want, idle, (w,))
+        assert np.linalg.norm(got[-1] - want) < 1e-12
 
 
 def test_simulate_validation():
