@@ -16,7 +16,14 @@ from .blockdiag import blockdiag_synthesize
 from .circuit import apply_state, circuit_unitary, count_gates
 from .config import ExperimentConfig, build_initial_state, load_config
 from .gates import frobenius_distance
-from .noise import NoiseConfig, clamped_p1, idle_wires, resolve_noise, simulate_noisy_walk
+from .noise import (
+    NoiseConfig,
+    check_density_budget,
+    clamped_p1,
+    idle_wires,
+    resolve_noise,
+    simulate_noisy_walk,
+)
 from .su3 import decompose_u3
 from .toffoli import lower_circuit
 from .walk import CoinSpec, WalkGraph, build_layer_cycle, build_layer_dihedral
@@ -29,6 +36,8 @@ _MATCH_KEYS = (
     "liveliness",
     "coin_kind",
     "coin_theta",
+    "coin_matrix",
+    "initial_coin",
     "initial_vertex",
     "steps",
     "average_includes_t0",
@@ -75,6 +84,10 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _fmt_complex(values: np.ndarray) -> str:
+    return ",".join(repr(complex(v)) for v in np.ravel(values))
+
+
 def _apply_overrides(noise: NoiseConfig, args: argparse.Namespace) -> NoiseConfig:
     if args.seed is not None:
         noise = replace(noise, rng_seed=args.seed)
@@ -98,11 +111,14 @@ def _vertex_labels(g: WalkGraph) -> list[str]:
 
 def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribution], NoiseConfig]:
     g = cfg.graph
+    resolved = resolve_noise(noise)
+    noisy = resolved.gate_noise_enabled or resolved.idle_kind != "none"
+    if noisy:
+        check_density_budget(g.circuit_width)
     if g.kind == "dihedral":
         layer = build_layer_dihedral(g.N, cfg.coin)
     else:
         layer = build_layer_cycle(g.N, cfg.coin, g.liveliness)
-    resolved = resolve_noise(noise)
     if resolved.idle_kind != "none" and not idle_wires(layer, resolved.idle_scope):
         raise ValueError(
             "idle noise acts on no wire: walk layers keep every wire busy, "
@@ -110,7 +126,7 @@ def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribut
         )
     psi = build_initial_state(cfg)
     dists = [vertex_distribution(psi, g)]
-    if not resolved.gate_noise_enabled and resolved.idle_kind == "none":
+    if not noisy:
         for _ in range(cfg.steps):
             psi = apply_state(layer, psi)
             dists.append(vertex_distribution(psi, g))
@@ -136,6 +152,8 @@ def _walk_csv(cfg: ExperimentConfig, noise: NoiseConfig, requested_epsilon: int 
         f"# liveliness={'' if g.liveliness is None else g.liveliness}",
         f"# coin_kind={cfg.coin.kind}",
         f"# coin_theta={'' if cfg.coin.theta is None else _fmt(cfg.coin.theta)}",
+        f"# coin_matrix={'' if cfg.coin.matrix is None else _fmt_complex(cfg.coin.matrix)}",
+        f"# initial_coin={_fmt_complex(cfg.initial_coin)}",
         f"# initial_vertex={labels[_initial_vertex_index(cfg)]}",
         f"# steps={cfg.steps}",
         f"# average_includes_t0={str(cfg.average_includes_t0).lower()}",

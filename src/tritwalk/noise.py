@@ -189,12 +189,47 @@ def idle_wires(circuit: Circuit, scope: str) -> tuple[int, ...]:
     return tuple(w for w in range(1, circuit.width + 1) if w not in touched)
 
 
-# The noisy path keeps the density as one (3,)*2*width tensor whose axes 2j
-# and 2j+1 are the ket and bra trits of wire j+1.  A superoperator on k
-# wires is a 9^k x 9^k matrix indexed in the same (ket, bra) pair order, so
-# one gate plus its depolarizing twirl is a single apply_local contraction.
+# Densities without gate noise are kept as one complex (3,)*2*width tensor
+# whose axes 2j and 2j+1 are the ket and bra trits of wire j+1.  A
+# superoperator on k wires is then a 9^k x 9^k matrix indexed in the same
+# (ket, bra) pair order.  With gate noise the density is instead one real
+# (9,)*width tensor of coefficients in the per-wire orthonormal Gell-Mann
+# basis (Bertlmann & Krammer, arXiv:0806.1174), in wire order, and every
+# noisy gate or idle channel is a real 9^k x 9^k transfer matrix.  Either
+# way one gate plus its depolarizing twirl is a single apply_local call.
 
-_PAIR_ID = np.eye(3).reshape(9)
+# Budget for one complex density, 16 * 9^width bytes.
+DENSITY_BUDGET_BYTES = 2**30
+
+
+def _gell_mann() -> np.ndarray:
+    """I/sqrt(3) and the eight Gell-Mann matrices over sqrt(2), as (9, 3, 3)."""
+    basis = [np.eye(3, dtype=complex) / np.sqrt(3)]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        sym = np.zeros((3, 3), dtype=complex)
+        sym[a, b] = sym[b, a] = 1 / np.sqrt(2)
+        anti = np.zeros((3, 3), dtype=complex)
+        anti[a, b], anti[b, a] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+        basis += [sym, anti]
+    basis.append(np.diag([1, -1, 0]).astype(complex) / np.sqrt(2))
+    basis.append(np.diag([1, 1, -2]).astype(complex) / np.sqrt(6))
+    return np.array(basis)
+
+
+_GELL_MANN = _gell_mann()
+# Row i takes a pair-ordered wire block, X[a, b] at 3a+b, to Tr(B_i X).
+_TO_GELL_MANN = _GELL_MANN.conj().reshape(9, 9)
+_FROM_GELL_MANN = _TO_GELL_MANN.conj().T
+
+
+def check_density_budget(width: int) -> None:
+    """Refuse a register whose complex density exceeds DENSITY_BUDGET_BYTES."""
+    size = 16 * 9**width
+    if size > DENSITY_BUDGET_BYTES:
+        raise ValueError(
+            f"a density on {width} wires takes {size} bytes, "
+            f"over the {DENSITY_BUDGET_BYTES}-byte budget"
+        )
 
 
 def _pairing(n: int) -> list[int]:
@@ -202,20 +237,73 @@ def _pairing(n: int) -> list[int]:
     return [x for i in range(n) for x in (i, n + i)]
 
 
-def _superop(ops: Iterable[np.ndarray], k: int) -> np.ndarray:
-    """Pair-ordered superoperator of the Kraus sum over ops on k wires."""
+def _to_gell_mann(rho: np.ndarray, width: int) -> np.ndarray:
+    """Real (9,)*width Gell-Mann coefficients of a Hermitian density matrix."""
+    t = rho.reshape((3,) * (2 * width)).transpose(_pairing(width)).reshape((9,) * width)
+    for axis in range(width):
+        t = apply_local(t, _TO_GELL_MANN, (axis,))
+    return np.ascontiguousarray(t.real)
+
+
+def _from_gell_mann(c: np.ndarray, width: int) -> np.ndarray:
+    """The 3^width x 3^width density matrix of Gell-Mann coefficients."""
+    for axis in range(width):
+        c = apply_local(c, _FROM_GELL_MANN, (axis,))
+    unpair = list(np.argsort(_pairing(width)))
+    return c.reshape((3,) * (2 * width)).transpose(unpair).reshape(3**width, 3**width)
+
+
+def _superop(ops: Iterable[np.ndarray], k: int, real: bool = False) -> np.ndarray:
+    """Superoperator of the Kraus sum over ops on k wires.
+
+    Pair-ordered and complex by default; with ``real`` the Gell-Mann
+    transfer matrix, real for any Hermiticity-preserving map.
+    """
     m = sum(np.kron(op, op.conj()) for op in ops)
     pair = _pairing(k)
     perm = pair + [2 * k + x for x in pair]
-    return m.reshape((3,) * (4 * k)).transpose(perm).reshape(9**k, 9**k)
-
-
-def _twirl_superop(k: int, p1: float) -> np.ndarray:
-    lam = 3 ** (2 * k) * clamped_p1(p1, k)
-    ident = _PAIR_ID
+    m = m.reshape((3,) * (4 * k)).transpose(perm).reshape(9**k, 9**k)
+    if not real:
+        return m
+    to = _TO_GELL_MANN
     for _ in range(k - 1):
-        ident = np.kron(ident, _PAIR_ID)
-    return (1 - lam) * np.eye(9**k) + (lam / 3**k) * np.outer(ident, ident)
+        to = np.kron(to, _TO_GELL_MANN)
+    return (to @ m @ to.conj().T).real
+
+
+def _twirl_diagonal(k: int, p1: float) -> np.ndarray:
+    """The depolarizing twirl on k wires, diagonal in the Gell-Mann basis."""
+    lam = 3 ** (2 * k) * clamped_p1(p1, k)
+    d = np.full(9**k, 1 - lam)
+    d[0] = 1.0
+    return d
+
+
+def _gate_transfers(circuit: Circuit, p1: float) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(support, transfer matrix) of every gate followed by its twirl.
+
+    Each gate is relabelled to wires 1..k of its sorted support; gates
+    that are equal after relabelling share one matrix, built once.
+    """
+    twirls = {k: _twirl_diagonal(k, p1) for k in (1, 2)}
+    built: dict[tuple, np.ndarray] = {}
+    out = []
+    for g in circuit.gates:
+        support = tuple(sorted(_support(g)))
+        k = len(support)
+        if k > 2:
+            raise ValueError("lowered circuit still holds a multi-controlled gate")
+        local = {w: i + 1 for i, w in enumerate(support)}
+        target = local[g.target]
+        controls = tuple((local[w], v) for w, v in g.controls)
+        matrix = None if g.matrix is None else g.matrix.tobytes()
+        key = (g.kind, g.axis, g.angle, g.xkind, matrix, target, controls)
+        m = built.get(key)
+        if m is None:
+            moved = replace(g, target=target, controls=controls)
+            m = built[key] = twirls[k][:, None] * _superop((embed_gate(k, moved),), k, real=True)
+        out.append((support, m))
+    return out
 
 
 def _promote_superop(m: np.ndarray, axes: tuple[int, ...], to: tuple[int, ...]) -> np.ndarray:
@@ -238,6 +326,7 @@ def simulate_noisy_walk(
     it the layer acts as one dense unitary. Idle damping is applied once
     per step, after the layer, to untouched wires or to all of them.
     """
+    check_density_budget(width)
     if layer.width != width:
         raise ValueError("layer width does not match register width")
     if steps < 0:
@@ -252,21 +341,13 @@ def simulate_noisy_walk(
         raise ValueError("initial density must have unit trace")
 
     cfg = resolve_noise(noise)
-    circuit = lower_circuit(layer) if cfg.gate_noise_enabled else layer
-    dense = None if cfg.gate_noise_enabled else circuit_unitary(circuit)
+    real = cfg.gate_noise_enabled
+    circuit = lower_circuit(layer) if real else layer
 
     # (wires, superoperator) in the order they act within one step.
     ops: list[tuple[tuple[int, ...], np.ndarray]] = []
-    if cfg.gate_noise_enabled:
-        twirls = {k: _twirl_superop(k, cfg.p1) for k in (1, 2)}
-        for g in circuit.gates:
-            support = tuple(sorted(_support(g)))
-            k = len(support)
-            if k > 2:
-                raise ValueError("lowered circuit still holds a multi-controlled gate")
-            local = {w: i + 1 for i, w in enumerate(support)}
-            moved = replace(g, target=local[g.target], controls=tuple((local[w], v) for w, v in g.controls))
-            m = twirls[k] @ _superop((embed_gate(k, moved),), k)
+    if real:
+        for support, m in _gate_transfers(circuit, cfg.p1):
             # Fuse runs whose supports share a wire pair into one contraction;
             # exact, since each entry is already the gate's full noisy map.
             if ops:
@@ -285,18 +366,32 @@ def simulate_noisy_walk(
             idle = amplitude_damping_channel(cfg.r1, cfg.r2, cfg.t_idle)
         else:
             idle = phase_damping_channel(cfg.r1, cfg.t_idle)
-        m = _superop(idle.operators, 1)
+        m = _superop(idle.operators, 1, real)
         ops += [((w,), m) for w in idle_wires(circuit, cfg.idle_scope)]
-    local_ops = [(tuple(a for w in wires for a in (2 * w - 2, 2 * w - 1)), m) for wires, m in ops]
 
+    if real:
+        # Every map here preserves the trace, so row 0 is exactly e_0; set it
+        # so, or the rounding of 1/sqrt(3) drifts the trace by ~1e-12 a step.
+        for _, m in ops:
+            m[0] = 0
+            m[0, 0] = 1
+        local_ops = [(tuple(w - 1 for w in wires), m) for wires, m in ops]
+        c = _to_gell_mann(rho0, width)
+        for _ in range(steps):
+            for axes, m in local_ops:
+                c = apply_local(c, m, axes)
+            yield _from_gell_mann(c, width)
+        return
+
+    dense = circuit_unitary(circuit)
+    local_ops = [(tuple(a for w in wires for a in (2 * w - 2, 2 * w - 1)), m) for wires, m in ops]
     shape = (3,) * (2 * width)
     pair = _pairing(width)
     unpair = list(np.argsort(pair))
     t = rho0.reshape(shape).transpose(pair)
     for _ in range(steps):
-        if dense is not None:
-            rho = dense @ t.transpose(unpair).reshape(dim, dim) @ dense.conj().T
-            t = rho.reshape(shape).transpose(pair)
+        rho = dense @ t.transpose(unpair).reshape(dim, dim) @ dense.conj().T
+        t = rho.reshape(shape).transpose(pair)
         for axes, m in local_ops:
             t = apply_local(t, m, axes)
         yield t.transpose(unpair).copy().reshape(dim, dim)

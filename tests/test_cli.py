@@ -239,3 +239,45 @@ def test_walk_average_respects_t0_flag(tmp_path, capsys):
         )
         got = np.array([per_t["avg"][v] for v in ("0", "1", "2")])
         assert np.allclose(got, want, atol=1e-12)
+
+
+def test_compare_rejects_initial_coin_mismatch(tmp_path, capsys):
+    # Two runs that differ only in the starting coin state are different
+    # experiments, not an ideal and a noisy copy of one.
+    for name, level in (("a", 0), ("b", 2)):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(TINY_CYCLE + f"\n[initial]\ncoin = {level}\n")
+        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    meta, _ = read_rows(tmp_path / "a" / "walk.csv")
+    assert meta["initial_coin"] == "(1+0j),0j,0j"
+    assert meta["coin_matrix"] == ""
+    code = main(["compare", str(tmp_path / "a" / "walk.csv"), str(tmp_path / "b" / "walk.csv")])
+    assert code == 1
+    assert "initial_coin=" in capsys.readouterr().err
+
+
+def test_walk_records_custom_coin_matrix(tmp_path, capsys):
+    m = coin_matrix(CoinSpec("xclass", theta=np.pi))
+    entries = ", ".join(repr(complex(x)) for x in m.reshape(9))
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(TINY_CYCLE + f"\n[coin]\nkind = custom\nmatrix = {entries}\n")
+    assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    meta, _ = read_rows(tmp_path / "walk.csv")
+    got = np.array([complex(x) for x in meta["coin_matrix"].split(",")]).reshape(3, 3)
+    assert np.array_equal(got, m)
+
+
+def test_walk_rejects_density_over_budget(tmp_path, capsys, monkeypatch):
+    import tritwalk.noise
+
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(TINY_DIHEDRAL)
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 16 * 9**2)
+    assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "3 wires" in err and str(16 * 9**3) in err
+    assert not (tmp_path / "walk.csv").exists()
+    # A noiseless run evolves a state vector, so the density budget does not apply.
+    assert main(["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", "none"]) == 0

@@ -1,10 +1,24 @@
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tritwalk.circuit import apply_state
+import tritwalk.noise
+from tritwalk.circuit import apply_state, embed_gate
 from tritwalk.noise import (
+    IDLE_KINDS,
+    IDLE_SCOPES,
     KrausChannel,
     NoiseConfig,
+    _GELL_MANN,
+    _from_gell_mann,
+    _gate_transfers,
+    _superop,
+    _to_gell_mann,
+    _twirl_diagonal,
     amplitude_damping_channel,
     apply_channel,
     clamped_p1,
@@ -14,6 +28,7 @@ from tritwalk.noise import (
     resolve_noise,
     simulate_noisy_walk,
 )
+from tritwalk.toffoli import lower_circuit
 from tritwalk.walk import CoinSpec, build_layer_cycle, build_layer_dihedral
 
 from helpers import random_circuit, random_unitary, twirl_depolarizing
@@ -305,3 +320,151 @@ def test_simulate_validation():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         list(simulate_noisy_walk(layer, layer.width, bad, 1, NoiseConfig()))
+
+
+def test_gell_mann_basis_orthonormal_and_hermitian():
+    b = _GELL_MANN
+    assert b.shape == (9, 3, 3)
+    assert np.allclose(b[0], np.eye(3) / np.sqrt(3), atol=1e-15)
+    for m in b:
+        assert np.array_equal(m, m.conj().T)
+    gram = np.einsum("iab,jba->ij", b, b)
+    assert np.abs(gram - np.eye(9)).max() < 1e-15
+
+
+def test_gell_mann_round_trip():
+    rng = np.random.default_rng(61)
+    for width in (1, 2, 3):
+        rho = random_density(rng, 3**width)
+        c = _to_gell_mann(rho, width)
+        assert c.dtype == np.float64 and c.shape == (9,) * width
+        assert abs(c.reshape(-1)[0] * 3 ** (width / 2) - 1) < 1e-14  # trace
+        assert np.abs(_from_gell_mann(c, width) - rho).max() < 1e-14
+
+
+def test_trace_preserving_transfer_matrices_keep_e0():
+    rng = np.random.default_rng(67)
+    channels = [
+        (amplitude_damping_channel(0.3, 0.9, 1.0).operators, 1),
+        (phase_damping_channel(0.7, 1.3).operators, 1),
+        (depolarizing_channel(1, 0.05).operators, 1),
+        (depolarizing_channel(2, 0.004).operators, 2),
+        ((random_unitary(rng, 3),), 1),
+        ((random_unitary(rng, 9),), 2),
+    ]
+    for ops, k in channels:
+        m = _superop(ops, k, real=True)
+        assert m.dtype == np.float64 and m.shape == (9**k, 9**k)
+        e0 = np.zeros(9**k)
+        e0[0] = 1
+        assert np.abs(m[0] - e0).max() < 1e-14
+
+
+def test_twirl_is_diagonal_in_gell_mann_basis():
+    for k, p1 in ((1, 0.05), (2, 0.004)):
+        m = _superop(depolarizing_channel(k, p1).operators, k, real=True)
+        d = _twirl_diagonal(k, p1)
+        assert d[0] == 1 and np.all(d[1:] == 1 - 3 ** (2 * k) * p1)
+        assert np.abs(m - np.diag(d)).max() < 1e-14
+
+
+def _transfer_oracle(g, width, p1):
+    # Transfer matrix of gate + twirl from its definition, Tr(P_i E(P_j)),
+    # on the full register: P_j is a Gell-Mann product on the gate's sorted
+    # support and the identity elsewhere, U is the full-width gate.
+    support = tuple(sorted((g.target,) + tuple(w for w, _ in g.controls)))
+    k = len(support)
+    basis = []
+    for idx in product(range(9), repeat=k):
+        factors = [np.eye(3)] * width
+        for w, i in zip(support, idx):
+            factors[w - 1] = _GELL_MANN[i]
+        basis.append(reduce(np.kron, factors))
+    basis = np.array(basis)
+    u = embed_gate(width, g)
+    moved = np.moveaxis(u @ basis @ u.conj().T, 0, -1).reshape((3,) * (2 * width) + (len(basis),))
+    out = twirl_depolarizing(moved, support, width, p1).reshape(3**width, 3**width, -1)
+    return support, np.einsum("iab,baj->ij", basis, out, optimize=True).real / 3 ** (width - k)
+
+
+def test_cached_transfers_match_per_gate_build():
+    layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
+    lowered = lower_circuit(layer)
+    assert lowered.width == 3
+    p1 = 0.003
+    got = _gate_transfers(lowered, p1)
+    assert len(got) == len(lowered.gates)
+    assert len({id(m) for _, m in got}) < len(got) / 4  # the cache is shared
+    for g, (support, m) in zip(lowered.gates, got):
+        want_support, want = _transfer_oracle(g, 3, p1)
+        assert support == want_support
+        assert np.abs(m - want).max() < 1e-13
+
+
+def test_density_budget_checked_before_lowering(monkeypatch):
+    layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
+    rho = np.eye(27) / 27
+
+    def no_lowering(_):
+        raise AssertionError("lowered before the budget check")
+
+    monkeypatch.setattr(tritwalk.noise, "lower_circuit", no_lowering)
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 16 * 9**3 - 1)
+    noise = NoiseConfig(gate_noise_enabled=True, p1=0.01)
+    with pytest.raises(ValueError, match=f"3 wires takes {16 * 9**3} bytes"):
+        next(simulate_noisy_walk(layer, 3, rho, 1, noise))
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 16 * 9**3)
+    with pytest.raises(AssertionError):
+        next(simulate_noisy_walk(layer, 3, rho, 1, noise))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 3),
+    ngates=st.integers(1, 3),
+    p1=st.floats(0, 1 / 9),
+    idle_kind=st.sampled_from(IDLE_KINDS),
+    idle_scope=st.sampled_from(IDLE_SCOPES),
+    r1=st.floats(0, 2),
+    r2=st.floats(0, 2),
+)
+def test_engine_matches_kraus_oracle_on_random_circuits(seed, width, ngates, p1, idle_kind, idle_scope, r1, r2):
+    rng = np.random.default_rng(seed)
+    layer = random_circuit(rng, width, ngates)
+    rho = random_density(rng, 3**width)
+    noise = NoiseConfig(
+        gate_noise_enabled=True, p1=p1, idle_kind=idle_kind, idle_scope=idle_scope, r1=r1, r2=r2
+    )
+    got = next(simulate_noisy_walk(layer, width, rho, 1, noise))
+
+    twirls = {k: depolarizing_channel(k, clamped_p1(p1, k)) for k in (1, 2)}
+    lowered = lower_circuit(layer)
+    want = rho
+    touched = set()
+    for g in lowered.gates:
+        u = embed_gate(width, g)
+        want = u @ want @ u.conj().T
+        support = (g.target,) + tuple(w for w, _ in g.controls)
+        want = apply_channel(want, twirls[len(support)], support)
+        touched.update(support)
+    if idle_kind != "none":
+        if idle_kind == "amplitude":
+            idle = amplitude_damping_channel(r1, r2, 1.0)
+        else:
+            idle = phase_damping_channel(r1, 1.0)
+        for w in range(1, width + 1):
+            if idle_scope == "all" or w not in touched:
+                want = apply_channel(want, idle, (w,))
+    assert np.linalg.norm(got - want) < 1e-12
+
+
+def test_gate_noise_path_holds_trace_over_many_steps():
+    # Trace is the Gell-Mann coefficient of the identity, which every
+    # trace-preserving transfer matrix leaves alone; rounding must not
+    # accumulate into it step after step.
+    layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
+    rho = random_density(np.random.default_rng(71), 27)
+    noise = NoiseConfig(gate_noise_enabled=True, p1=0.01, idle_kind="amplitude", r1=0.2, r2=0.1, idle_scope="all")
+    for out in simulate_noisy_walk(layer, 3, rho, 60, noise):
+        assert abs(np.trace(out) - 1) < 1e-14
