@@ -20,51 +20,16 @@ zero-angle pruning happens here: the gate count must stay exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuit import Circuit, Gate, register_width, rotation, xgate
-from .gates import AXES, is_unitary, rotation_matrix
+from .gates import is_unitary
 from .su3 import decompose_su3, su3_factors
 
 __all__ = [
-    "MCRotation",
-    "mc_rotation_matrix",
-    "mc_rotation_expand",
     "expand_mc_rotation",
     "blockdiag_synthesize",
 ]
-
-
-@dataclass(frozen=True)
-class MCRotation:
-    """Rotation on the last of ``width`` wires, all earlier wires controlling."""
-
-    width: int
-    axis: str
-    angles: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.width, int) or self.width < 1:
-            raise ValueError(f"width must be a positive integer, got {self.width!r}")
-        if self.axis not in AXES:
-            raise ValueError(f"unknown rotation axis {self.axis!r}")
-        angles = tuple(float(a) for a in self.angles)
-        if len(angles) != 3 ** (self.width - 1):
-            raise ValueError(
-                f"need 3^{self.width - 1} angles, got {len(angles)}"
-            )
-        object.__setattr__(self, "angles", angles)
-
-
-def mc_rotation_matrix(mc: MCRotation) -> np.ndarray:
-    """Dense block-diagonal matrix, one rotation block per control pattern."""
-    dim = 3**mc.width
-    m = np.zeros((dim, dim), dtype=complex)
-    for j, angle in enumerate(mc.angles):
-        m[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = rotation_matrix(mc.axis, angle)
-    return m
 
 
 # Conjugator D with D R_axis(x) D = R_axis(-x): transposition of the level
@@ -105,13 +70,6 @@ def expand_mc_rotation(
     gates.extend(expand_mc_rotation(axis, gamma, rest, target))
     gates.append(d2)
     return gates
-
-
-def mc_rotation_expand(mc: MCRotation) -> Circuit:
-    """Compile to two-qutrit controlled gates plus bare leaf rotations."""
-    ctrl_wires = tuple(range(1, mc.width))
-    gates = expand_mc_rotation(mc.axis, np.array(mc.angles), ctrl_wires, mc.width)
-    return Circuit(mc.width, tuple(gates))
 
 
 def _split_blocks(u: np.ndarray) -> list[np.ndarray]:

@@ -6,16 +6,7 @@ controls of ternary circuit diagrams).  A :class:`Circuit` is an ordered gate
 list; the list order is temporal, so the first gate acts first and the dense
 unitary is the reversed matrix product.
 
-Circuits are immutable once built.  The text format is line oriented::
-
-    CIRCUIT width=3
-    GATE rotation axis=Y01 angle=0.5 target=1
-    GATE xgate x=X+1 target=3 controls=1:2,2:0
-    GATE phase angle=-0.25 target=2
-    GATE custom matrix=(1+0j),...,(0j) target=2
-
-with the nine custom-matrix entries row major.  Parsing and printing round
-trip losslessly (floats via repr).
+Circuits are immutable once built.
 """
 
 from __future__ import annotations
@@ -43,8 +34,6 @@ __all__ = [
     "apply_state",
     "inverse",
     "count_gates",
-    "serialize_circuit",
-    "parse_circuit",
     "shift_gates",
     "add_control",
     "register_width",
@@ -274,82 +263,3 @@ def add_control(gates: Iterable[Gate], wire: int, value: int) -> list[Gate]:
     """The same gates with one more control appended to each."""
     return [replace(g, controls=g.controls + ((wire, value),)) for g in gates]
 
-
-def _format_gate(g: Gate) -> str:
-    parts = ["GATE", g.kind]
-    if g.kind == "rotation":
-        parts.append(f"axis={g.axis}")
-        parts.append(f"angle={g.angle!r}")
-    elif g.kind == "xgate":
-        parts.append(f"x={g.xkind}")
-    elif g.kind == "phase":
-        parts.append(f"angle={g.angle!r}")
-    else:
-        entries = ",".join(repr(complex(v)) for v in g.matrix.reshape(9))
-        parts.append(f"matrix={entries}")
-    parts.append(f"target={g.target}")
-    if g.controls:
-        parts.append("controls=" + ",".join(f"{w}:{v}" for w, v in g.controls))
-    return " ".join(parts)
-
-
-def serialize_circuit(c: Circuit) -> str:
-    lines = [f"CIRCUIT width={c.width}"]
-    lines.extend(_format_gate(g) for g in c.gates)
-    return "\n".join(lines) + "\n"
-
-
-def _parse_fields(tokens: Sequence[str], line: str) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ValueError(f"malformed token {tok!r} in line {line!r}")
-        key, val = tok.split("=", 1)
-        if key in fields:
-            raise ValueError(f"duplicate field {key!r} in line {line!r}")
-        fields[key] = val
-    return fields
-
-
-def _parse_gate(line: str) -> Gate:
-    tokens = line.split()
-    kind = tokens[1]
-    fields = _parse_fields(tokens[2:], line)
-    target = int(fields.pop("target"))
-    controls: tuple[tuple[int, int], ...] = ()
-    if "controls" in fields:
-        controls = tuple(
-            (int(w), int(v))
-            for w, v in (item.split(":") for item in fields.pop("controls").split(","))
-        )
-    if kind == "rotation":
-        g = rotation(fields.pop("axis"), float(fields.pop("angle")), target, controls)
-    elif kind == "xgate":
-        g = xgate(fields.pop("x"), target, controls)
-    elif kind == "phase":
-        g = phase(float(fields.pop("angle")), target, controls)
-    elif kind == "custom":
-        entries = [complex(v) for v in fields.pop("matrix").split(",")]
-        if len(entries) != 9:
-            raise ValueError(f"custom matrix needs 9 entries, got {len(entries)}")
-        g = custom(np.array(entries).reshape(3, 3), target, controls)
-    else:
-        raise ValueError(f"unknown gate kind {kind!r} in line {line!r}")
-    if fields:
-        raise ValueError(f"unexpected fields {sorted(fields)} in line {line!r}")
-    return g
-
-
-def parse_circuit(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("CIRCUIT "):
-        raise ValueError("circuit text must start with a CIRCUIT header line")
-    header = _parse_fields(lines[0].split()[1:], lines[0])
-    if set(header) != {"width"}:
-        raise ValueError(f"malformed circuit header {lines[0]!r}")
-    gates = []
-    for ln in lines[1:]:
-        if not ln.startswith("GATE "):
-            raise ValueError(f"expected GATE line, got {ln!r}")
-        gates.append(_parse_gate(ln))
-    return Circuit(int(header["width"]), tuple(gates))

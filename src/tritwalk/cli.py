@@ -24,7 +24,7 @@ from .noise import (
     resolve_noise,
     simulate_noisy_walk,
 )
-from .su3 import decompose_u3
+from .su3 import decompose_u3, reconstruct_u3
 from .toffoli import lower_circuit
 from .walk import CoinSpec, WalkGraph, build_layer_cycle, build_layer_dihedral
 
@@ -225,8 +225,6 @@ def _cmd_synth_su3(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    from .su3 import reconstruct_u3
-
     print(f"alpha {_fmt(d.alpha)}")
     for name in ("theta1", "phi1", "psi1", "theta2", "psi2", "theta3", "phi3", "psi3"):
         print(f"{name} {_fmt(getattr(d.su3, name))}")

@@ -17,7 +17,6 @@ __all__ = [
     "rotation_matrix",
     "x_matrix",
     "phase_matrix",
-    "kron",
     "is_unitary",
     "frobenius_distance",
 ]
@@ -88,14 +87,6 @@ def x_matrix(kind: str) -> np.ndarray:
 def phase_matrix(theta: float) -> np.ndarray:
     """Global phase gate exp(i theta) * I3."""
     return np.exp(1j * theta) * np.eye(3, dtype=complex)
-
-
-def kron(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of any number of matrices, left factor most significant."""
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:

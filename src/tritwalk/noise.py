@@ -189,14 +189,15 @@ def idle_wires(circuit: Circuit, scope: str) -> tuple[int, ...]:
     return tuple(w for w in range(1, circuit.width + 1) if w not in touched)
 
 
-# Densities without gate noise are kept as one complex (3,)*2*width tensor
-# whose axes 2j and 2j+1 are the ket and bra trits of wire j+1.  A
-# superoperator on k wires is then a 9^k x 9^k matrix indexed in the same
-# (ket, bra) pair order.  With gate noise the density is instead one real
-# (9,)*width tensor of coefficients in the per-wire orthonormal Gell-Mann
-# basis (Bertlmann & Krammer, arXiv:0806.1174), in wire order, and every
-# noisy gate or idle channel is a real 9^k x 9^k transfer matrix.  Either
-# way one gate plus its depolarizing twirl is a single apply_local call.
+# Densities without gate noise stay in the natural layout: one complex
+# (3,)*2*width tensor holding the ket trits of every wire, then the bra
+# trits.  Only one-wire idle channels act on it as superoperators, 9 x 9
+# matrices indexed (ket, bra).  With gate noise the density is instead one
+# real (9,)*width tensor of coefficients in the per-wire orthonormal
+# Gell-Mann basis (Bertlmann & Krammer, arXiv:0806.1174), in wire order, and
+# every noisy gate or idle channel is a real 9^k x 9^k transfer matrix, so
+# one gate plus its depolarizing twirl is a single apply_local call.  Only
+# this path pairs each wire's ket and bra axes.
 
 # Budget for one complex density, 16 * 9^width bytes.
 DENSITY_BUDGET_BYTES = 2**30
@@ -384,14 +385,11 @@ def simulate_noisy_walk(
         return
 
     dense = circuit_unitary(circuit)
-    local_ops = [(tuple(a for w in wires for a in (2 * w - 2, 2 * w - 1)), m) for wires, m in ops]
     shape = (3,) * (2 * width)
-    pair = _pairing(width)
-    unpair = list(np.argsort(pair))
-    t = rho0.reshape(shape).transpose(pair)
+    rho = rho0
     for _ in range(steps):
-        rho = dense @ t.transpose(unpair).reshape(dim, dim) @ dense.conj().T
-        t = rho.reshape(shape).transpose(pair)
-        for axes, m in local_ops:
-            t = apply_local(t, m, axes)
-        yield t.transpose(unpair).copy().reshape(dim, dim)
+        t = (dense @ rho @ dense.conj().T).reshape(shape)
+        for (w,), m in ops:
+            t = apply_local(t, m, (w - 1, width + w - 1))
+        rho = t.reshape(dim, dim)
+        yield rho.copy()

@@ -133,18 +133,24 @@ def _antidiagonal_params(u: np.ndarray) -> Su3Params:
     )
 
 
-def decompose_su3(u: np.ndarray) -> Su3Params:
-    """Extract the eight rotation angles of a special unitary 3x3 matrix.
-
-    Tries the generic entry read-off plus two degenerate-case closed forms and
-    returns whichever parameters reconstruct ``u`` with least residual.
-    """
+def _checked_unitary(u: np.ndarray) -> np.ndarray:
+    """The input as a complex array, or ValueError unless it is a 3x3 unitary."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3):
         raise ValueError("input must be a 3x3 matrix")
     if not is_unitary(u, tol=1e-8):
         defect = frobenius_distance(u @ u.conj().T, np.eye(3))
         raise ValueError(f"input is not unitary (defect {defect:.3e})")
+    return u
+
+
+def decompose_su3(u: np.ndarray) -> Su3Params:
+    """Extract the eight rotation angles of a special unitary 3x3 matrix.
+
+    Tries the generic entry read-off plus two degenerate-case closed forms and
+    returns whichever parameters reconstruct ``u`` with least residual.
+    """
+    u = _checked_unitary(u)
     if abs(np.linalg.det(u) - 1) > 1e-8:
         raise ValueError("input must have unit determinant; use decompose_u3")
     best, best_res = None, np.inf
@@ -162,12 +168,7 @@ def decompose_u3(u: np.ndarray) -> U3Decomposition:
     alpha is a third of the principal argument of the determinant, so the
     original matrix is exp(i alpha) times the reconstructed SU(3) factor.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (3, 3):
-        raise ValueError("input must be a 3x3 matrix")
-    if not is_unitary(u, tol=1e-8):
-        defect = frobenius_distance(u @ u.conj().T, np.eye(3))
-        raise ValueError(f"input is not unitary (defect {defect:.3e})")
+    u = _checked_unitary(u)
     alpha = float(np.angle(np.linalg.det(u)) / 3)
     return U3Decomposition(alpha=alpha, su3=decompose_su3(u * np.exp(-1j * alpha)))
 

@@ -9,14 +9,12 @@ product of controlled rotations can reach, so they route through an explicit
 controlled global phase.
 
 The target-first form conjugates a target-last core with a chain of
-neighbour permutation blocks; the core's shift direction flips with the
-parity of the chain, so it is resolved by evaluating the candidate circuit as
-a permutation on all basis states rather than by a closed-form parity rule.
+neighbour permutation blocks.  Every block in the chain flips the core's
+shift direction, so the core applies the requested shift when the chain has
+an even number of blocks (odd register width) and the other shift otherwise.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +39,6 @@ __all__ = [
     "compile_mc_x_target_last",
     "p_gate_circuit",
     "compile_mc_x_target_first",
-    "lower_controls",
     "lower_circuit",
 ]
 
@@ -175,37 +172,14 @@ def p_gate_circuit() -> Circuit:
     return Circuit(2, tuple(gates))
 
 
-_X_PERMS = {
-    "X01": (1, 0, 2),
-    "X12": (0, 2, 1),
-    "X02": (2, 1, 0),
-    "X+1": (1, 2, 0),
-    "X+2": (2, 0, 1),
-}
-
-
-def _permutation_of(gates: list[Gate], width: int) -> list[int]:
-    """Evaluate an all-X circuit as a permutation of basis indices."""
-    out = []
-    for idx in range(3**width):
-        digits = [(idx // 3 ** (width - w)) % 3 for w in range(1, width + 1)]
-        for g in gates:
-            if g.kind != "xgate":
-                raise ValueError("permutation evaluation needs X gates only")
-            if all(digits[w - 1] == v for w, v in g.controls):
-                digits[g.target - 1] = _X_PERMS[g.xkind][digits[g.target - 1]]
-        out.append(sum(d * 3 ** (width - 1 - i) for i, d in enumerate(digits)))
-    return out
-
-
 def compile_mc_x_target_first(n: int, a: int, x: str) -> Circuit:
     """X on wire 1, fired when wires 2..n all hold ``a`` (a in {0, 2}).
 
     A chain of neighbour permutation blocks carries the target's role down to
     the last wire, a target-last core acts there, and the chain unwinds; for
     a = 0 the control wires are shifted to 2 and back around the whole
-    sandwich.  The core's shift kind depends on the chain parity and is
-    chosen by evaluating the candidate on all basis states.
+    sandwich.  Each of the n - 1 blocks flips the core's shift direction, so
+    the core is ``x`` itself for odd n and the other shift for even n.
     """
     if n < 2:
         raise ValueError("need at least one control wire, so n >= 2")
@@ -217,51 +191,14 @@ def compile_mc_x_target_first(n: int, a: int, x: str) -> Circuit:
     chain: list[Gate] = []
     for w in range(1, n):
         chain += shift_gates(p.gates, w - 1)
-    want = _permutation_of(
-        [xgate(x, 1, controls=tuple((w, a) for w in range(2, n + 1)))], n
-    )
-    core_kind = None
-    for candidate in ("X+1", "X+2"):
-        center = xgate(candidate, n, controls=tuple((w, 2) for w in range(1, n)))
-        borders_in = [xgate("X+2", w) for w in range(2, n + 1)] if a == 0 else []
-        borders_out = [xgate("X+1", w) for w in range(2, n + 1)] if a == 0 else []
-        trial = borders_in + chain + [center] + chain[::-1] + borders_out
-        if _permutation_of(trial, n) == want:
-            core_kind = candidate
-            break
-    if core_kind is None:
-        raise ValueError("no core shift realizes the requested permutation")
+    core_kind = x if n % 2 else {"X+1": "X+2", "X+2": "X+1"}[x]
+    borders_in = [xgate("X+2", w) for w in range(2, n + 1)] if a == 0 else []
+    borders_out = [xgate("X+1", w) for w in range(2, n + 1)] if a == 0 else []
     # The chain blocks are involutions gate-by-gate, so the unwind is the
     # same gate list reversed.
     core = compile_mc_x_target_last(n, 2, core_kind).gates
     gates = borders_in + chain + list(core) + chain[::-1] + borders_out
     return Circuit(n, tuple(gates))
-
-
-def lower_controls(c: Circuit) -> Circuit:
-    """Rewrite every value-0/1 control to value 2 with shift borders.
-
-    A 0-control gains X+2 before and X+1 after on the control wire; a
-    1-control the opposite pair.  Gate targets and value-2 controls pass
-    through untouched.
-    """
-    gates: list[Gate] = []
-    for g in c.gates:
-        pre: list[Gate] = []
-        post: list[Gate] = []
-        ctrls = []
-        for w, v in g.controls:
-            if v == 0:
-                pre.append(xgate("X+2", w))
-                post.append(xgate("X+1", w))
-            elif v == 1:
-                pre.append(xgate("X+1", w))
-                post.append(xgate("X+2", w))
-            ctrls.append((w, 2))
-        gates += pre
-        gates.append(replace(g, controls=tuple(ctrls)))
-        gates += post[::-1]
-    return Circuit(c.width, tuple(gates))
 
 
 def lower_circuit(c: Circuit) -> Circuit:

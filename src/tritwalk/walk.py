@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, add_control, phase, register_width, shift_gates, xgate
+from .circuit import Circuit, Gate, add_control, inverse, phase, register_width, shift_gates, xgate
 from .gates import is_unitary
 from .su3 import decompose_u3, params_to_circuit
 
@@ -248,8 +248,6 @@ def _coin_gates(coin: CoinSpec) -> list[Gate]:
 
 
 def _inverted(gates: list[Gate]) -> list[Gate]:
-    from .circuit import inverse
-
     return list(inverse(Circuit(max(g.target for g in gates), tuple(gates))).gates)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from tritwalk.circuit import Circuit, custom, phase, rotation, xgate
-from tritwalk.gates import AXES, X_KINDS
+from tritwalk.gates import AXES, X_KINDS, rotation_matrix
 from tritwalk.noise import clamped_p1
 
 
@@ -17,6 +17,20 @@ def random_unitary(rng, dim=3):
 def random_su3(rng):
     u = random_unitary(rng, 3)
     return u / np.linalg.det(u) ** (1 / 3)
+
+
+def block_diagonal(blocks):
+    """Dense matrix with the given 3x3 blocks down its diagonal, zeros elsewhere."""
+    dim = 3 * len(blocks)
+    m = np.zeros((dim, dim), dtype=complex)
+    for j, b in enumerate(blocks):
+        m[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = b
+    return m
+
+
+def mc_rotation_reference(axis, angles):
+    """Dense multi-controlled rotation: one rotation block per control pattern."""
+    return block_diagonal([rotation_matrix(axis, a) for a in angles])
 
 
 def random_gate(rng, width):

@@ -1,40 +1,25 @@
 import numpy as np
 import pytest
-from helpers import random_su3
+from helpers import block_diagonal, mc_rotation_reference, random_su3
 
-from tritwalk.blockdiag import (
-    MCRotation,
-    blockdiag_synthesize,
-    mc_rotation_expand,
-    mc_rotation_matrix,
-)
-from tritwalk.circuit import circuit_unitary, count_gates, embed_gate, rotation
-from tritwalk.gates import AXES, frobenius_distance, rotation_matrix
+from tritwalk.blockdiag import blockdiag_synthesize, expand_mc_rotation
+from tritwalk.circuit import Circuit, circuit_unitary, count_gates, embed_gate, rotation
+from tritwalk.gates import AXES, frobenius_distance
 
 
-def test_mc_rotation_matrix_blocks():
-    mc = MCRotation(2, "Y01", (0.3, -0.8, 1.2))
-    m = mc_rotation_matrix(mc)
-    for j, angle in enumerate(mc.angles):
-        assert np.allclose(m[3 * j : 3 * j + 3, 3 * j : 3 * j + 3], rotation_matrix("Y01", angle))
-    assert np.count_nonzero(m) <= 9 * 3
-
-
-def test_mc_rotation_validation():
-    with pytest.raises(ValueError):
-        MCRotation(2, "Y01", (0.1,))  # wrong slot count
-    with pytest.raises(ValueError):
-        MCRotation(2, "Q01", (0.1, 0.2, 0.3))
+def expanded(axis, angles, width):
+    """The expansion on wires 1..width, all but the last controlling."""
+    gates = expand_mc_rotation(axis, np.asarray(angles), tuple(range(1, width)), width)
+    return Circuit(width, tuple(gates))
 
 
 def test_expand_matches_dense_all_axes():
     rng = np.random.default_rng(17)
     for axis in AXES:
         for width in (1, 2, 3):
-            angles = tuple(rng.uniform(-np.pi, np.pi, 3 ** (width - 1)))
-            mc = MCRotation(width, axis, angles)
-            got = circuit_unitary(mc_rotation_expand(mc))
-            assert frobenius_distance(got, mc_rotation_matrix(mc)) < 1e-10, (axis, width)
+            angles = rng.uniform(-np.pi, np.pi, 3 ** (width - 1))
+            got = circuit_unitary(expanded(axis, angles, width))
+            assert frobenius_distance(got, mc_rotation_reference(axis, angles)) < 1e-10, (axis, width)
 
 
 def test_one_hot_slot_is_value_controlled_rotation():
@@ -43,7 +28,7 @@ def test_one_hot_slot_is_value_controlled_rotation():
     for value in (0, 1, 2):
         angles = np.zeros(3)
         angles[value] = 0.9
-        got = circuit_unitary(mc_rotation_expand(MCRotation(2, "Z12", tuple(angles))))
+        got = circuit_unitary(expanded("Z12", angles, 2))
         want = embed_gate(2, rotation("Z12", 0.9, 2, controls=((1, value),)))
         assert frobenius_distance(got, want) < 1e-12
 
@@ -54,8 +39,7 @@ def test_expansion_counts_exact():
     for axis in ("Y01", "X02", "Z12"):
         for width in (1, 2, 3, 4):
             slots = 3 ** (width - 1)
-            mc = MCRotation(width, axis, tuple(rng.uniform(-1, 1, slots)))
-            counts = count_gates(mc_rotation_expand(mc))
+            counts = count_gates(expanded(axis, rng.uniform(-1, 1, slots), width))
             assert counts.one_qutrit_rotation == slots
             assert counts.two_qutrit_controlled == 2 * (slots - 1)
             assert counts.one_qutrit_other == 0
@@ -63,19 +47,13 @@ def test_expansion_counts_exact():
 
 
 def test_no_pruning_of_zero_angles():
-    mc = MCRotation(3, "Y01", (0.0,) * 9)
-    counts = count_gates(mc_rotation_expand(mc))
+    counts = count_gates(expanded("Y01", np.zeros(9), 3))
     assert counts.one_qutrit_rotation == 9
     assert counts.two_qutrit_controlled == 16
 
 
 def random_blockdiag(rng, width):
-    blocks = [random_su3(rng) for _ in range(3 ** (width - 1))]
-    dim = 3**width
-    u = np.zeros((dim, dim), dtype=complex)
-    for j, b in enumerate(blocks):
-        u[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = b
-    return u
+    return block_diagonal([random_su3(rng) for _ in range(3 ** (width - 1))])
 
 
 def test_blockdiag_synthesize_matches():

@@ -5,7 +5,6 @@ from tritwalk.gates import (
     AXES,
     frobenius_distance,
     is_unitary,
-    kron,
     phase_matrix,
     rotation_matrix,
     x_matrix,
@@ -108,14 +107,6 @@ def test_phase_matrix():
     m = phase_matrix(0.6)
     assert np.allclose(m, np.exp(0.6j) * np.eye(3))
     assert is_unitary(m)
-
-
-def test_kron_shapes_and_values():
-    a = np.diag([1, 2, 3]).astype(complex)
-    b = np.eye(3, dtype=complex)
-    k = kron(a, b, b)
-    assert k.shape == (27, 27)
-    assert np.allclose(np.diag(k)[:9], 1) and np.allclose(np.diag(k)[9:18], 2)
 
 
 def test_frobenius_distance_pinned():

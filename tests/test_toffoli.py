@@ -9,7 +9,6 @@ from tritwalk.circuit import (
     count_gates,
     embed_gate,
     phase,
-    rotation,
     xgate,
 )
 from tritwalk.gates import frobenius_distance
@@ -17,7 +16,6 @@ from tritwalk.toffoli import (
     compile_mc_x_target_first,
     compile_mc_x_target_last,
     lower_circuit,
-    lower_controls,
     mc_phase_gates,
     p_gate_circuit,
 )
@@ -103,7 +101,7 @@ def test_mc_x_matches_gate_on_random_states():
         for a in (0, 1, 2):
             for x in ("X+1", "X+2", "X01", "X12", "X02"):
                 check(compile_mc_x_target_last(n, a, x), x, n, a)
-    for n in (4, 5):
+    for n in (4, 5, 6):
         for a in (0, 2):
             for x in ("X+1", "X+2"):
                 check(compile_mc_x_target_first(n, a, x), x, 1, a)
@@ -156,21 +154,6 @@ def test_target_first_rejects_middle_value():
         compile_mc_x_target_first(3, 1, "X+1")
     with pytest.raises(ValueError):
         compile_mc_x_target_first(3, 2, "X01")
-
-
-def test_lower_controls_values():
-    c = Circuit(
-        3,
-        (
-            xgate("X+1", 3, controls=((1, 0), (2, 1))),
-            rotation("Y01", 0.4, 2, controls=((1, 2),)),
-        ),
-    )
-    low = lower_controls(c)
-    assert all(v == 2 for g in low.gates for _, v in g.controls)
-    assert frobenius_distance(circuit_unitary(low), circuit_unitary(c)) < 1e-10
-    # Two borders per rewritten control.
-    assert len(low) == len(c) + 4
 
 
 def test_lower_circuit_random_mixed():
