@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit, Gate, register_width, rotation, xgate
-from .gates import is_unitary
 from .su3 import decompose_su3, su3_factors
 
 __all__ = [
@@ -102,9 +101,10 @@ def blockdiag_synthesize(u: np.ndarray) -> Circuit:
     width = register_width(3 * len(blocks))
     params = []
     for j, b in enumerate(blocks):
-        if not is_unitary(b, tol=1e-8) or abs(np.linalg.det(b) - 1) > 1e-8:
-            raise ValueError(f"block {j} is not special unitary")
-        params.append(decompose_su3(b))
+        try:
+            params.append(decompose_su3(b))
+        except ValueError as exc:
+            raise ValueError(f"block {j} is not special unitary: {exc}") from None
     ctrl_wires = tuple(range(1, width))
     gates: list[Gate] = []
     # One column per factor in temporal order, holding every block's angle.

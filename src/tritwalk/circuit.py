@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gates import AXES, X_KINDS, is_unitary, phase_matrix, rotation_matrix, x_matrix
+from .gates import AXES, X_KINDS, checked_unitary, phase_matrix, rotation_matrix, x_matrix
 
 __all__ = [
     "Gate",
@@ -69,10 +69,7 @@ class Gate:
             if self.angle is None:
                 raise ValueError("phase gate needs an angle")
         else:
-            m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (3, 3) or not is_unitary(m, tol=1e-8):
-                raise ValueError("custom gate needs a 3x3 unitary matrix")
-            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix", checked_unitary(self.matrix, "custom gate"))
         ctrls = tuple(sorted((int(w), int(v)) for w, v in self.controls))
         wires = [w for w, _ in ctrls]
         if len(set(wires)) != len(wires):

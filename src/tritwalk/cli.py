@@ -14,7 +14,7 @@ import numpy as np
 from .analysis import Distribution, kl_divergence, time_average, tvd, vertex_distribution
 from .blockdiag import blockdiag_synthesize
 from .circuit import apply_state, circuit_unitary, count_gates
-from .config import ExperimentConfig, build_initial_state, load_config
+from .config import ExperimentConfig, build_initial_state, complex_entries, load_config
 from .gates import frobenius_distance
 from .noise import (
     NoiseConfig,
@@ -45,29 +45,26 @@ _MATCH_KEYS = (
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    """Parse a text matrix: one row per line, complex literals like 0.5+0.5j.
-
-    Entries split on whitespace or commas, so the same tokens work here
-    and in the config [coin] matrix key.
-    """
+    """Parse a text matrix: one row per line of ``config.complex_entries``."""
     rows = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([complex(token) for token in line.replace(",", " ").split()])
-            except ValueError:
-                raise ValueError(f"unparseable matrix row: {line!r}") from None
+            if line and not line.startswith("#"):
+                rows.append(complex_entries(line))
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix file must hold a square matrix")
     return np.array(rows)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tritwalk-")
+def _emit(text: str, out_dir: str | None, name: str) -> None:
+    """Write ``text`` atomically to out_dir/name and print that path, or to stdout."""
+    if out_dir is None:
+        sys.stdout.write(text)
+        return
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tritwalk-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -78,6 +75,7 @@ def _write_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+    print(path)
 
 
 def _fmt(value: float) -> str:
@@ -219,12 +217,8 @@ def _parse_walk_csv(path: str) -> tuple[dict, Distribution]:
 
 
 def _cmd_synth_su3(args: argparse.Namespace) -> int:
-    try:
-        u = _read_matrix(args.matrix)
-        d = decompose_u3(u)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    u = _read_matrix(args.matrix)
+    d = decompose_u3(u)
     print(f"alpha {_fmt(d.alpha)}")
     for name in ("theta1", "phi1", "psi1", "theta2", "psi2", "theta3", "phi3", "psi3"):
         print(f"{name} {_fmt(getattr(d.su3, name))}")
@@ -233,12 +227,8 @@ def _cmd_synth_su3(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_blockdiag(args: argparse.Namespace) -> int:
-    try:
-        u = _read_matrix(args.matrix)
-        circuit = blockdiag_synthesize(u)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    u = _read_matrix(args.matrix)
+    circuit = blockdiag_synthesize(u)
     counts = count_gates(circuit)
     print(f"width {circuit.width}")
     print(f"rotations {counts.one_qutrit_rotation}")
@@ -249,61 +239,33 @@ def _cmd_synth_blockdiag(args: argparse.Namespace) -> int:
 
 
 def _cmd_walk(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-        noise = _apply_overrides(cfg.noise, args)
-        requested = args.epsilon if args.epsilon is not None else noise.epsilon_exponent
-        text = _walk_csv(cfg, noise, requested)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = os.path.join(args.out, "walk.csv")
-    os.makedirs(args.out, exist_ok=True)
-    _write_atomic(out, text)
-    print(out)
+    cfg = load_config(args.config)
+    noise = _apply_overrides(cfg.noise, args)
+    requested = args.epsilon if args.epsilon is not None else noise.epsilon_exponent
+    _emit(_walk_csv(cfg, noise, requested), args.out, "walk.csv")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        ideal_meta, ideal = _parse_walk_csv(args.ideal)
-        rows = []
-        for path in args.noisy:
-            meta, dist = _parse_walk_csv(path)
-            for key in _MATCH_KEYS:
-                if meta.get(key) != ideal_meta.get(key):
-                    raise ValueError(
-                        f"{path}: {key}={meta.get(key)!r} does not match ideal {ideal_meta.get(key)!r}"
-                    )
-            rows.append(
-                (
-                    meta.get("epsilon", ""),
-                    meta.get("idle_kind", ""),
-                    kl_divergence(ideal, dist, floor=args.floor),
-                    tvd(ideal, dist),
-                )
-            )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ideal_meta, ideal = _parse_walk_csv(args.ideal)
     lines = ["epsilon,idle_kind,kl_bits,tvd"]
-    for eps, idle, kl, dist in rows:
-        lines.append(f"{eps},{idle},{_fmt(kl)},{_fmt(dist)}")
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        out = os.path.join(args.out, "compare.csv")
-        _write_atomic(out, text)
-        print(out)
-    else:
-        sys.stdout.write(text)
+    for path in args.noisy:
+        meta, dist = _parse_walk_csv(path)
+        for key in _MATCH_KEYS:
+            if meta.get(key) != ideal_meta.get(key):
+                raise ValueError(
+                    f"{path}: {key}={meta.get(key)!r} does not match ideal {ideal_meta.get(key)!r}"
+                )
+        eps, idle = meta.get("epsilon", ""), meta.get("idle_kind", "")
+        kl = kl_divergence(ideal, dist, floor=args.floor)
+        lines.append(f"{eps},{idle},{_fmt(kl)},{_fmt(tvd(ideal, dist))}")
+    _emit("\n".join(lines) + "\n", args.out, "compare.csv")
     return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_max > 6 or args.n_min > args.n_max:
-        print("error: n range must satisfy 1 <= n-min <= n-max <= 6", file=sys.stderr)
-        return 1
+        raise ValueError("n range must satisfy 1 <= n-min <= n-max <= 6")
     coin = CoinSpec("xclass", theta=np.pi)
     lines = ["graph,n,vertices,rotations,other_single,two_qutrit,total"]
     two_qutrit: list[int] = []
@@ -323,14 +285,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         ratios = [b / a for a, b in zip(two_qutrit, two_qutrit[1:])]
         exponent = float(np.mean([np.log(r) / np.log(3) for r in ratios]))
         lines.insert(0, f"# fitted_exponent_base3={_fmt(exponent)}")
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        out = os.path.join(args.out, "count.csv")
-        _write_atomic(out, text)
-        print(out)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out, "count.csv")
     return 0
 
 
@@ -372,7 +327,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_count)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ __all__ = [
     "x_matrix",
     "phase_matrix",
     "is_unitary",
+    "checked_unitary",
     "frobenius_distance",
 ]
 
@@ -94,6 +95,21 @@ def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return bool(np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=tol))
+
+
+def checked_unitary(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` as a complex array, or ValueError unless it is a 3x3 unitary.
+
+    ``what`` names the input in the message; the message carries the
+    Frobenius size of the defect ``m m† - I``.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (3, 3):
+        raise ValueError(f"{what} must be a 3x3 matrix")
+    if not is_unitary(m, tol=1e-8):
+        defect = frobenius_distance(m @ m.conj().T, np.eye(3))
+        raise ValueError(f"{what} is not unitary (defect {defect:.3e})")
+    return m
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -42,13 +42,6 @@ class KrausChannel:
         return register_width(self.operators[0].shape[0])
 
 
-def completeness_defect(ch: KrausChannel) -> float:
-    """Frobenius norm of sum(K†K) - I; zero for a trace-preserving channel."""
-    dim = ch.operators[0].shape[0]
-    acc = sum(op.conj().T @ op for op in ch.operators)
-    return float(np.linalg.norm(acc - np.eye(dim)))
-
-
 def depolarizing_channel(k: int, p1: float) -> KrausChannel:
     """Uniform Weyl-twirl noise on k qutrits.
 

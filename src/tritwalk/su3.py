@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from .circuit import Circuit, Gate, rotation
-from .gates import frobenius_distance, is_unitary, phase_matrix, rotation_matrix
+from .gates import checked_unitary, frobenius_distance, rotation_matrix
 
 __all__ = [
     "Su3Params",
@@ -133,24 +133,8 @@ def _antidiagonal_params(u: np.ndarray) -> Su3Params:
     )
 
 
-def _checked_unitary(u: np.ndarray) -> np.ndarray:
-    """The input as a complex array, or ValueError unless it is a 3x3 unitary."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (3, 3):
-        raise ValueError("input must be a 3x3 matrix")
-    if not is_unitary(u, tol=1e-8):
-        defect = frobenius_distance(u @ u.conj().T, np.eye(3))
-        raise ValueError(f"input is not unitary (defect {defect:.3e})")
-    return u
-
-
-def decompose_su3(u: np.ndarray) -> Su3Params:
-    """Extract the eight rotation angles of a special unitary 3x3 matrix.
-
-    Tries the generic entry read-off plus two degenerate-case closed forms and
-    returns whichever parameters reconstruct ``u`` with least residual.
-    """
-    u = _checked_unitary(u)
+def _su3_params(u: np.ndarray) -> Su3Params:
+    """decompose_su3 for a complex 3x3 array already checked to be unitary."""
     if abs(np.linalg.det(u) - 1) > 1e-8:
         raise ValueError("input must have unit determinant; use decompose_u3")
     best, best_res = None, np.inf
@@ -162,15 +146,24 @@ def decompose_su3(u: np.ndarray) -> Su3Params:
     return best
 
 
+def decompose_su3(u: np.ndarray) -> Su3Params:
+    """Extract the eight rotation angles of a special unitary 3x3 matrix.
+
+    Tries the generic entry read-off plus two degenerate-case closed forms and
+    returns whichever parameters reconstruct ``u`` with least residual.
+    """
+    return _su3_params(checked_unitary(u, "input"))
+
+
 def decompose_u3(u: np.ndarray) -> U3Decomposition:
     """Split a 3x3 unitary into a global phase and an SU(3) part.
 
     alpha is a third of the principal argument of the determinant, so the
     original matrix is exp(i alpha) times the reconstructed SU(3) factor.
     """
-    u = _checked_unitary(u)
+    u = checked_unitary(u, "input")
     alpha = float(np.angle(np.linalg.det(u)) / 3)
-    return U3Decomposition(alpha=alpha, su3=decompose_su3(u * np.exp(-1j * alpha)))
+    return U3Decomposition(alpha=alpha, su3=_su3_params(u * np.exp(-1j * alpha)))
 
 
 def reconstruct_u3(d: U3Decomposition) -> np.ndarray:
@@ -204,10 +197,3 @@ def decompose_special_diagonal(alpha: float, beta: float, variant: int = 1) -> t
         raise ValueError(f"variant must be 1, 2 or 3, got {variant!r}")
     return pair
 
-
-def diagonal_phase_matrix(phase: float, gates: tuple[Gate, Gate]) -> np.ndarray:
-    """Dense matrix of a decompose_diagonal result (for checks and tests)."""
-    m = phase_matrix(phase)
-    for g in gates:
-        m = m @ rotation_matrix(g.axis, g.angle)
-    return m

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, add_control, inverse, phase, register_width, shift_gates, xgate
-from .gates import is_unitary
+from .gates import checked_unitary
 from .su3 import decompose_u3, params_to_circuit
 
 __all__ = [
@@ -95,10 +95,9 @@ class CoinSpec:
         if self.kind not in COIN_KINDS:
             raise ValueError(f"unknown coin kind {self.kind!r}")
         if self.kind == "custom":
-            m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (3, 3) or not is_unitary(m, tol=1e-8):
-                raise ValueError("custom coin needs a 3x3 unitary matrix")
-            object.__setattr__(self, "matrix", m)
+            if self.theta is not None:
+                raise ValueError("custom coin takes no theta")
+            object.__setattr__(self, "matrix", checked_unitary(self.matrix, "custom coin"))
         else:
             if self.theta is None:
                 raise ValueError(f"{self.kind} coin needs theta")

@@ -3,7 +3,7 @@
 import numpy as np
 
 from tritwalk.circuit import Circuit, custom, phase, rotation, xgate
-from tritwalk.gates import AXES, X_KINDS, rotation_matrix
+from tritwalk.gates import AXES, X_KINDS, phase_matrix, rotation_matrix
 from tritwalk.noise import clamped_p1
 
 
@@ -31,6 +31,21 @@ def block_diagonal(blocks):
 def mc_rotation_reference(axis, angles):
     """Dense multi-controlled rotation: one rotation block per control pattern."""
     return block_diagonal([rotation_matrix(axis, a) for a in angles])
+
+
+def diagonal_phase_matrix(phase, gates):
+    """Dense matrix of a decompose_diagonal result: phase times the two rotations."""
+    m = phase_matrix(phase)
+    for g in gates:
+        m = m @ rotation_matrix(g.axis, g.angle)
+    return m
+
+
+def completeness_defect(ch):
+    """Frobenius norm of sum(K†K) - I; zero for a trace-preserving channel."""
+    dim = ch.operators[0].shape[0]
+    acc = sum(op.conj().T @ op for op in ch.operators)
+    return float(np.linalg.norm(acc - np.eye(dim)))
 
 
 def random_gate(rng, width):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from helpers import random_su3
+from helpers import completeness_defect, diagonal_phase_matrix, random_su3
 from tritwalk.analysis import kl_divergence, time_average, tvd, vertex_distribution
 from tritwalk.blockdiag import blockdiag_synthesize
 from tritwalk.circuit import apply_state, circuit_unitary, count_gates, embed_gate, xgate
@@ -18,7 +18,6 @@ from tritwalk.gates import rotation_matrix
 from tritwalk.noise import (
     NoiseConfig,
     amplitude_damping_channel,
-    completeness_defect,
     depolarizing_channel,
     phase_damping_channel,
     simulate_noisy_walk,
@@ -27,7 +26,6 @@ from tritwalk.su3 import (
     decompose_diagonal,
     decompose_special_diagonal,
     decompose_su3,
-    diagonal_phase_matrix,
     reconstruct_su3,
 )
 from tritwalk.toffoli import compile_mc_x_target_first, compile_mc_x_target_last, lower_circuit

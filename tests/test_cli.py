@@ -281,3 +281,26 @@ def test_walk_rejects_density_over_budget(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "walk.csv").exists()
     # A noiseless run evolves a state vector, so the density budget does not apply.
     assert main(["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", "none"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth-su3", "{tmp}/missing.txt"],
+        ["synth-blockdiag", "{tmp}/missing.txt"],
+        ["walk", "--config", "{tmp}/c.ini", "--out", "{tmp}/taken"],
+        ["count", "--graph", "cycle", "--n-max", "1", "--out", "{tmp}/taken"],
+        ["count", "--graph", "cycle", "--n-min", "0"],
+    ],
+    ids=["su3-missing", "blockdiag-missing", "walk-out-is-file", "count-out-is-file", "count-n-min-0"],
+)
+def test_input_and_output_errors_are_one_line(tmp_path, capsys, argv):
+    # Unreadable inputs and an --out that names a file, not a directory.
+    (tmp_path / "c.ini").write_text(TINY_CYCLE)
+    (tmp_path / "taken").write_text("a file\n")
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -71,6 +71,8 @@ def test_custom_coin_matrix():
     cfg = parse_config(text)
     assert cfg.coin.kind == "custom"
     assert cfg.coin.matrix[1, 2] == 1
+    spaced = parse_config(DIHEDRAL + "\n[coin]\nkind = custom\nmatrix = 1 0 0  0 0 1  0 1 0\n")
+    assert np.array_equal(spaced.coin.matrix, cfg.coin.matrix)
 
 
 @pytest.mark.parametrize(
@@ -81,6 +83,7 @@ def test_custom_coin_matrix():
         "[coin]\nkind = xclass\n",  # theta missing
         "[coin]\nkind = xclass\ntheta = 1\nmatrix = 1,0,0,0,1,0,0,0,1\n",
         "[coin]\nkind = custom\nmatrix = 1,0,0\n",
+        "[coin]\nkind = custom\nmatrix = 1,0,0,0,1,0,0,0,1\ntheta = 1\n",
         "[initial]\ncoin = 3\n",
         "[initial]\nvertex = 27\n",  # vertex needs s:r on dihedral
         "[initial]\nvertex = 2:0\n",

@@ -22,7 +22,6 @@ from tritwalk.noise import (
     amplitude_damping_channel,
     apply_channel,
     clamped_p1,
-    completeness_defect,
     depolarizing_channel,
     phase_damping_channel,
     resolve_noise,
@@ -31,7 +30,7 @@ from tritwalk.noise import (
 from tritwalk.toffoli import lower_circuit
 from tritwalk.walk import CoinSpec, build_layer_cycle, build_layer_dihedral
 
-from helpers import random_circuit, random_unitary, twirl_depolarizing
+from helpers import completeness_defect, random_circuit, random_unitary, twirl_depolarizing
 
 
 def random_density(rng, dim):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from helpers import random_su3, random_unitary
+from helpers import diagonal_phase_matrix, random_su3, random_unitary
 
+import tritwalk.gates
 from tritwalk.circuit import circuit_unitary
 from tritwalk.gates import frobenius_distance, rotation_matrix, x_matrix
 from tritwalk.su3 import (
@@ -10,7 +11,6 @@ from tritwalk.su3 import (
     decompose_special_diagonal,
     decompose_su3,
     decompose_u3,
-    diagonal_phase_matrix,
     params_to_circuit,
     reconstruct_su3,
     reconstruct_u3,
@@ -70,6 +70,21 @@ def test_shift_matrices_roundtrip():
     for kind in ("X+1", "X+2"):
         u = x_matrix(kind)
         assert frobenius_distance(reconstruct_su3(decompose_su3(u)), u) < 1e-9
+
+
+def test_decompose_u3_checks_unitarity_once(monkeypatch):
+    calls = []
+    real = tritwalk.gates.is_unitary
+
+    def counting(m, tol=1e-10):
+        calls.append(tol)
+        return real(m, tol)
+
+    monkeypatch.setattr(tritwalk.gates, "is_unitary", counting)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        decompose_u3(random_unitary(rng))
+    assert len(calls) == 3
 
 
 def test_decompose_su3_validation():

@@ -66,6 +66,8 @@ def test_coin_spec_validation():
         CoinSpec("xclass")
     with pytest.raises(ValueError):
         CoinSpec("custom", matrix=np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        CoinSpec("custom", theta=1.0, matrix=np.eye(3))
     custom = CoinSpec("custom", matrix=np.eye(3))
     assert np.allclose(coin_matrix(custom), np.eye(3))
 
