@@ -12,11 +12,7 @@ from .walk import WalkGraph
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability per graph vertex plus the mass stranded on padding states.
-
-    Dihedral vertices are indexed s*N + r for reflection s and rotation r;
-    cycle vertices are indexed by r alone.
-    """
+    """Probability per vertex, in `WalkGraph.labels` order, plus mass on padding states."""
 
     probs: np.ndarray
     leaked: float
@@ -51,15 +47,12 @@ def vertex_distribution(state: np.ndarray, g: WalkGraph) -> Distribution:
         probs_full = np.diag(state).real
     else:
         raise ValueError(f"state shape {state.shape} does not fit width {g.circuit_width}")
-    rot = 3**g.n
-    if g.kind == "cycle":
-        arr = probs_full.reshape(3, rot)
-        vertex = arr[:, : g.N].sum(axis=0)
-        leaked = float(arr[:, g.N :].sum())
-    else:
-        arr = probs_full.reshape(3, 3, rot)
-        vertex = arr[:, :2, : g.N].sum(axis=0).reshape(2 * g.N)
-        leaked = float(arr[:, 2, :].sum() + arr[:, :2, g.N :].sum())
+    # Axes (coin, flag levels, rotation): the flag levels are those of the
+    # dihedral reflection wire, or one level on cycles.
+    arr = probs_full.reshape(3, -1, 3**g.n)
+    reflections = g.num_vertices // g.N
+    vertex = arr[:, :reflections, : g.N].sum(axis=0).reshape(g.num_vertices)
+    leaked = float(arr[:, reflections:, :].sum() + arr[:, :reflections, g.N :].sum())
     return Distribution(vertex, leaked)
 
 

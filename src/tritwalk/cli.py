@@ -26,7 +26,7 @@ from .noise import (
 )
 from .su3 import decompose_u3, reconstruct_u3
 from .toffoli import lower_circuit
-from .walk import CoinSpec, WalkGraph, build_layer_cycle, build_layer_dihedral
+from .walk import CoinSpec, build_layer_cycle, build_layer_dihedral
 
 _FORMAT = "tritwalk-walk-1"
 # Metadata that must agree before two walk runs can be compared.
@@ -101,12 +101,6 @@ def _apply_overrides(noise: NoiseConfig, args: argparse.Namespace) -> NoiseConfi
     return noise
 
 
-def _vertex_labels(g: WalkGraph) -> list[str]:
-    if g.kind == "dihedral":
-        return [f"{s}:{r}" for s in (0, 1) for r in range(g.N)]
-    return [str(r) for r in range(g.N)]
-
-
 def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribution], NoiseConfig]:
     g = cfg.graph
     resolved = resolve_noise(noise)
@@ -135,11 +129,11 @@ def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribut
     return dists, resolved
 
 
-def _walk_csv(cfg: ExperimentConfig, noise: NoiseConfig, requested_epsilon: int | None) -> str:
+def _walk_csv(cfg: ExperimentConfig, noise: NoiseConfig) -> str:
     dists, resolved = _run_walk(cfg, noise)
     avg = time_average(dists if cfg.average_includes_t0 else dists[1:])
     g = cfg.graph
-    labels = _vertex_labels(g)
+    labels = g.labels
     gate_on = resolved.gate_noise_enabled
     idle_on = resolved.idle_kind != "none"
     lines = [
@@ -152,14 +146,14 @@ def _walk_csv(cfg: ExperimentConfig, noise: NoiseConfig, requested_epsilon: int 
         f"# coin_theta={'' if cfg.coin.theta is None else _fmt(cfg.coin.theta)}",
         f"# coin_matrix={'' if cfg.coin.matrix is None else _fmt_complex(cfg.coin.matrix)}",
         f"# initial_coin={_fmt_complex(cfg.initial_coin)}",
-        f"# initial_vertex={labels[_initial_vertex_index(cfg)]}",
+        f"# initial_vertex={labels[cfg.initial_vertex]}",
         f"# steps={cfg.steps}",
         f"# average_includes_t0={str(cfg.average_includes_t0).lower()}",
         f"# gate_noise={str(gate_on).lower()}",
         f"# idle_kind={resolved.idle_kind}",
         f"# idle_scope={resolved.idle_scope}",
         f"# t_idle={_fmt(resolved.t_idle)}",
-        f"# epsilon={'' if requested_epsilon is None else requested_epsilon}",
+        f"# epsilon={'' if noise.epsilon_exponent is None else noise.epsilon_exponent}",
         f"# seed={'' if noise.rng_seed is None else noise.rng_seed}",
         f"# p1={_fmt(resolved.p1) if gate_on else ''}",
         f"# p1_eff_k1={_fmt(clamped_p1(resolved.p1, 1)) if gate_on else ''}",
@@ -178,21 +172,13 @@ def _walk_csv(cfg: ExperimentConfig, noise: NoiseConfig, requested_epsilon: int 
     return "\n".join(lines) + "\n"
 
 
-def _initial_vertex_index(cfg: ExperimentConfig) -> int:
-    if cfg.graph.kind == "dihedral":
-        s, r = cfg.initial_vertex
-        return s * cfg.graph.N + r
-    return cfg.initial_vertex
-
-
 def _parse_walk_csv(path: str) -> tuple[dict, Distribution]:
     meta: dict[str, str] = {}
-    labels: list[str] = []
     probs: list[float] = []
     leaked = 0.0
     saw_header = False
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line.startswith("# "):
                 key, _, value = line[2:].partition("=")
@@ -203,12 +189,16 @@ def _parse_walk_csv(path: str) -> tuple[dict, Distribution]:
                     raise ValueError(f"{path}: unexpected header {line!r}")
                 saw_header = True
                 continue
-            t, label, prob, leak = line.split(",")
-            if t != "avg":
+            fields = line.split(",")
+            if len(fields) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+            if fields[0] != "avg":
                 continue
-            labels.append(label)
-            probs.append(float(prob))
-            leaked = float(leak)
+            try:
+                probs.append(float(fields[2]))
+                leaked = float(fields[3])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric probability or leak") from None
     if meta.get("format") != _FORMAT:
         raise ValueError(f"{path}: not a walk CSV")
     if not probs:
@@ -241,8 +231,9 @@ def _cmd_synth_blockdiag(args: argparse.Namespace) -> int:
 def _cmd_walk(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     noise = _apply_overrides(cfg.noise, args)
-    requested = args.epsilon if args.epsilon is not None else noise.epsilon_exponent
-    _emit(_walk_csv(cfg, noise, requested), args.out, "walk.csv")
+    # Refuse an unwritable --out before the run, not after it.
+    os.makedirs(args.out, exist_ok=True)
+    _emit(_walk_csv(cfg, noise), args.out, "walk.csv")
     return 0
 
 

@@ -30,7 +30,7 @@ class ExperimentConfig:
     graph: WalkGraph
     coin: CoinSpec
     initial_coin: np.ndarray
-    initial_vertex: tuple[int, int] | int
+    initial_vertex: int
     steps: int
     average_includes_t0: bool
     noise: NoiseConfig
@@ -44,17 +44,9 @@ class ExperimentConfig:
         if abs(np.linalg.norm(amps) - 1) > 1e-9:
             raise ValueError("initial coin state must be normalized")
         object.__setattr__(self, "initial_coin", amps)
-        if self.graph.kind == "dihedral":
-            if not (isinstance(self.initial_vertex, tuple) and len(self.initial_vertex) == 2):
-                raise ValueError("dihedral initial vertex is a (reflection, rotation) pair")
-            s, r = self.initial_vertex
-            if s not in (0, 1) or not 0 <= r < self.graph.N:
-                raise ValueError(f"initial vertex {self.initial_vertex} outside graph")
-        else:
-            if not isinstance(self.initial_vertex, int):
-                raise ValueError("cycle initial vertex is a rotation index")
-            if not 0 <= self.initial_vertex < self.graph.N:
-                raise ValueError(f"initial vertex {self.initial_vertex} outside graph")
+        v, count = self.initial_vertex, self.graph.num_vertices
+        if not isinstance(v, int) or not 0 <= v < count:
+            raise ValueError(f"initial vertex must be an index below {count}, got {v!r}")
 
 
 def _check_keys(cp: ConfigParser) -> None:
@@ -133,9 +125,10 @@ def _parse_coin(cp: ConfigParser) -> CoinSpec:
     return CoinSpec(sec["kind"], theta=theta, matrix=matrix)
 
 
-def _parse_initial(cp: ConfigParser, graph: WalkGraph) -> tuple[np.ndarray, tuple[int, int] | int]:
+def _parse_initial(cp: ConfigParser, graph: WalkGraph) -> tuple[np.ndarray, int]:
+    labels = graph.labels
     coin_raw = "0" if graph.kind == "dihedral" else "superposition"
-    vertex_raw = "0:0" if graph.kind == "dihedral" else "0"
+    vertex_raw = labels[0]
     if cp.has_section("initial"):
         sec = cp["initial"]
         coin_raw = sec.get("coin", coin_raw)
@@ -147,17 +140,12 @@ def _parse_initial(cp: ConfigParser, graph: WalkGraph) -> tuple[np.ndarray, tupl
         amps[int(coin_raw)] = 1
     else:
         raise ValueError(f"[initial] coin must be 0, 1, 2, or superposition, got {coin_raw!r}")
-    if graph.kind == "dihedral":
-        parts = vertex_raw.split(":")
-        if len(parts) != 2:
-            raise ValueError("[initial] dihedral vertex is written s:r")
-        vertex: tuple[int, int] | int = (
-            _parse_int(parts[0], "[initial] vertex reflection"),
-            _parse_int(parts[1], "[initial] vertex rotation"),
+    if vertex_raw not in labels:
+        raise ValueError(
+            f"[initial] vertex must be a label from {labels[0]!r} to {labels[-1]!r} "
+            f"as walk.csv writes it, got {vertex_raw!r}"
         )
-    else:
-        vertex = _parse_int(vertex_raw, "[initial] vertex")
-    return amps, vertex
+    return amps, labels.index(vertex_raw)
 
 
 def _parse_noise(cp: ConfigParser) -> NoiseConfig:
@@ -216,15 +204,7 @@ def load_config(path: str) -> ExperimentConfig:
 def build_initial_state(cfg: ExperimentConfig) -> np.ndarray:
     """Circuit-register state vector for the configured starting point."""
     g = cfg.graph
-    rot = 3**g.n
     psi = np.zeros(3**g.circuit_width, dtype=complex)
-    if g.kind == "dihedral":
-        s, r = cfg.initial_vertex
-        base = s * rot + r
-        stride = 3 * rot
-    else:
-        base = cfg.initial_vertex
-        stride = rot
-    for level, amp in enumerate(cfg.initial_coin):
-        psi[level * stride + base] = amp
+    for coin, amp in enumerate(cfg.initial_coin):
+        psi[g.basis_index(cfg.initial_vertex, coin)] = amp
     return psi

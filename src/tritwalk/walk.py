@@ -2,7 +2,8 @@
 
 A walk lives on either an N-cycle (with a liveliness jump a, so the third
 coin direction hops a vertices) or the 2N vertices of a dihedral-group
-Cayley graph, addressed as (reflection flag, rotation index).  The circuit
+Cayley graph, addressed as (reflection flag, rotation index).  Outside this
+module a vertex is one index into `WalkGraph.labels`.  The circuit
 encodes the rotation index in n base-3 digits, n the smallest power with
 N <= 3^n; when N < 3^n, remap circuits splice the spare states out of the
 cycle so they are never populated.
@@ -76,6 +77,24 @@ class WalkGraph:
     @property
     def num_vertices(self) -> int:
         return self.N if self.kind == "cycle" else 2 * self.N
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Vertex labels in index order: "r" on cycles, "s:r" at s*N + r on dihedral graphs."""
+        if self.kind == "cycle":
+            return tuple(str(r) for r in range(self.N))
+        return tuple(f"{s}:{r}" for s in (0, 1) for r in range(self.N))
+
+    def basis_index(self, vertex: int, coin: int) -> int:
+        """Register basis state holding a vertex index and a coin value.
+
+        The coin is the most significant trit, then (dihedral only) the
+        reflection flag, then the rotation register.
+        """
+        if not 0 <= vertex < self.num_vertices or coin not in (0, 1, 2):
+            raise ValueError(f"no basis state for vertex {vertex!r} with coin {coin!r}")
+        s, r = divmod(vertex, self.N)
+        return coin * 3 ** (self.circuit_width - 1) + s * 3**self.n + r
 
 
 @dataclass(frozen=True)

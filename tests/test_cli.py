@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tritwalk.cli
 from tritwalk.cli import main
 from tritwalk.walk import CoinSpec, coin_matrix
 
@@ -143,6 +144,11 @@ def test_walk_noise_metadata_and_overrides(tmp_path, capsys):
     assert [r[1] for r in rows if r[0] == "0"] == ["0:0", "0:1", "0:2", "1:0", "1:1", "1:2"]
     noisy_total = [sum(r[2] for r in rows if r[0] == t) + next(r[3] for r in rows if r[0] == t) for t in ("1", "3")]
     assert all(abs(x - 1) < 1e-6 for x in noisy_total)
+    # Without --epsilon the config's own exponent is recorded.
+    assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    meta, _ = read_rows(tmp_path / "walk.csv")
+    assert meta["epsilon"] == "2" and meta["seed"] == "11"
 
 
 def test_walk_rejects_bad_config(tmp_path, capsys):
@@ -188,6 +194,22 @@ def test_compare_self_and_noisy(tmp_path, capsys):
     eps, idle, kl, dist = row.split(",")
     assert (eps, idle) == ("2", "amplitude")
     assert float(kl) > 0 and float(dist) > 0
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [("garbage", "expected 4 fields, got 1"), ("avg,0,abc,0.0", "non-numeric probability or leak")],
+)
+def test_compare_names_malformed_row(tmp_path, capsys, bad_row, message):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(TINY_CYCLE)
+    assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "walk.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [bad_row]) + "\n")
+    assert main(["compare", str(path), str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{len(lines) + 1}: {message}\n"
 
 
 def test_compare_rejects_graph_mismatch(tmp_path, capsys):
@@ -294,8 +316,13 @@ def test_walk_rejects_density_over_budget(tmp_path, capsys, monkeypatch):
     ],
     ids=["su3-missing", "blockdiag-missing", "walk-out-is-file", "count-out-is-file", "count-n-min-0"],
 )
-def test_input_and_output_errors_are_one_line(tmp_path, capsys, argv):
-    # Unreadable inputs and an --out that names a file, not a directory.
+def test_input_and_output_errors_are_one_line(tmp_path, capsys, monkeypatch, argv):
+    # Unreadable inputs and an --out that names a file, not a directory, are
+    # refused before any walk step runs.
+    def no_step(*args):
+        raise AssertionError("a walk step ran before the error")
+
+    monkeypatch.setattr(tritwalk.cli, "apply_state", no_step)
     (tmp_path / "c.ini").write_text(TINY_CYCLE)
     (tmp_path / "taken").write_text("a file\n")
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tritwalk.analysis import vertex_distribution
 from tritwalk.config import build_initial_state, parse_config
+from tritwalk.walk import WalkGraph
 
 DIHEDRAL = """
 [graph]
@@ -44,7 +48,7 @@ def test_parse_dihedral_defaults():
     assert cfg.graph.kind == "dihedral"
     assert cfg.graph.N == 27
     assert cfg.coin.kind == "xclass" and cfg.coin.theta == np.pi
-    assert cfg.initial_vertex == (0, 0)
+    assert cfg.initial_vertex == 0 and cfg.graph.labels[cfg.initial_vertex] == "0:0"
     assert np.allclose(cfg.initial_coin, [1, 0, 0])
     assert cfg.steps == 10
     assert not cfg.average_includes_t0
@@ -88,6 +92,7 @@ def test_custom_coin_matrix():
         "[initial]\nvertex = 27\n",  # vertex needs s:r on dihedral
         "[initial]\nvertex = 2:0\n",
         "[initial]\nvertex = 0:27\n",
+        "[initial]\nvertex = 00:1\n",  # labels are written exactly as walk.csv writes them
         "[noise]\nidle = cosmic\n",
         "[noise]\nidle_scope = nearby\n",
         "[noise]\nepsilon = 3\n",  # draw without seed
@@ -131,3 +136,43 @@ def test_initial_state_cycle_superposition():
     hits = np.flatnonzero(psi)
     assert list(hits) == [3, 12, 21]
     assert np.allclose(psi[hits], 1 / np.sqrt(3))
+
+
+@pytest.mark.parametrize("kind", ["cycle", "dihedral"])
+@pytest.mark.parametrize("N", [3, 5, 9, 10, 27])
+def test_vertex_layout(kind, N):
+    # One vertex index addresses the label, the initial state and the marginal.
+    g = WalkGraph(kind, N, 1 if kind == "cycle" else None)
+    graph = f"[graph]\nkind = {kind}\nvertices = {N}\n" + ("liveliness = 1\n" if kind == "cycle" else "")
+    amps = np.array([0.6, 0.48j, -0.64])
+    hits = {}
+    for v, label in enumerate(g.labels):
+        cfg = parse_config(graph + f"[initial]\nvertex = {label}\n[run]\nsteps = 1\n")
+        assert cfg.initial_vertex == v
+        for spelling in ("0" + label, label.replace(":", ":0"), "+" + label):
+            if spelling != label:
+                with pytest.raises(ValueError, match=r"\[initial\] vertex"):
+                    parse_config(graph + f"[initial]\nvertex = {spelling}\n[run]\nsteps = 1\n")
+        psi = build_initial_state(replace(cfg, initial_coin=amps))
+        want = np.zeros_like(psi)
+        for c in range(3):
+            hits[g.basis_index(v, c)] = v, c
+            want[g.basis_index(v, c)] = amps[c]
+        assert np.array_equal(psi, want)
+    assert len(hits) == 3 * g.num_vertices
+    rot = 3**g.n
+    for i in range(3**g.circuit_width):
+        d = vertex_distribution(np.eye(1, 3**g.circuit_width, i)[0], g)
+        padding = i % rot >= N or (kind == "dihedral" and i // rot % 3 == 2)
+        assert padding == (i not in hits)
+        if padding:
+            assert d.leaked == 1 and not d.probs.any()
+        else:
+            v, c = hits[i]
+            assert i // 3 ** (g.circuit_width - 1) == c  # the coin is wire 1
+            assert d.leaked == 0 and np.array_equal(d.probs, np.eye(1, g.num_vertices, v)[0])
+    for bad in ((0, 0), -1, g.num_vertices, 1.0):
+        with pytest.raises(ValueError, match="initial vertex"):
+            replace(cfg, initial_vertex=bad)
+    with pytest.raises(ValueError):
+        g.basis_index(g.num_vertices, 0)
