@@ -26,7 +26,7 @@ from .noise import (
 )
 from .su3 import decompose_u3, reconstruct_u3
 from .toffoli import lower_circuit
-from .walk import CoinSpec, build_layer_cycle, build_layer_dihedral
+from .walk import CoinSpec, WalkGraph, build_layer_cycle, build_layer_dihedral
 
 _FORMAT = "tritwalk-walk-1"
 # Metadata that must agree before two walk runs can be compared.
@@ -257,15 +257,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_max > 6 or args.n_min > args.n_max:
         raise ValueError("n range must satisfy 1 <= n-min <= n-max <= 6")
+    liveliness = args.liveliness
+    if args.graph == "cycle" and liveliness is None:
+        liveliness = 0
     coin = CoinSpec("xclass", theta=np.pi)
     lines = ["graph,n,vertices,rotations,other_single,two_qutrit,total"]
     two_qutrit: list[int] = []
     for n in range(args.n_min, args.n_max + 1):
         vertices = 3**n
-        if args.graph == "dihedral":
+        g = WalkGraph(args.graph, vertices, liveliness)
+        if g.kind == "dihedral":
             layer = build_layer_dihedral(vertices, coin)
         else:
-            layer = build_layer_cycle(vertices, coin, args.liveliness)
+            layer = build_layer_cycle(vertices, coin, g.liveliness)
         counts = count_gates(lower_circuit(layer))
         two_qutrit.append(counts.two_qutrit_controlled)
         lines.append(
@@ -313,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--graph", choices=("cycle", "dihedral"), required=True)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--liveliness", type=int, default=0)
+    p.add_argument("--liveliness", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_count)
 

@@ -182,15 +182,17 @@ def idle_wires(circuit: Circuit, scope: str) -> tuple[int, ...]:
     return tuple(w for w in range(1, circuit.width + 1) if w not in touched)
 
 
-# Densities without gate noise stay in the natural layout: one complex
+# A step is one list of (tensor axes, matrix) ops, each contracted into the
+# density with apply_local.  Without gate noise the density is one complex
 # (3,)*2*width tensor holding the ket trits of every wire, then the bra
-# trits.  Only one-wire idle channels act on it as superoperators, 9 x 9
-# matrices indexed (ket, bra).  With gate noise the density is instead one
-# real (9,)*width tensor of coefficients in the per-wire orthonormal
-# Gell-Mann basis (Bertlmann & Krammer, arXiv:0806.1174), in wire order, and
-# every noisy gate or idle channel is a real 9^k x 9^k transfer matrix, so
-# one gate plus its depolarizing twirl is a single apply_local call.  Only
-# this path pairs each wire's ket and bra axes.
+# trits; the layer's dense unitary acts on the ket axes and its conjugate on
+# the bra axes, and each one-wire idle channel is a 9 x 9 superoperator
+# indexed (ket, bra).  With gate noise the density is instead one real
+# (9,)*width tensor of coefficients in the per-wire orthonormal Gell-Mann
+# basis (Bertlmann & Krammer, arXiv:0806.1174), in wire order, and every
+# noisy gate or idle channel is a real 9^k x 9^k transfer matrix, so one
+# gate plus its depolarizing twirl is a single op.  Only this path pairs
+# each wire's ket and bra axes.
 
 # Budget for one complex density, 16 * 9^width bytes.
 DENSITY_BUDGET_BYTES = 2**30
@@ -251,7 +253,8 @@ def _superop(ops: Iterable[np.ndarray], k: int, real: bool = False) -> np.ndarra
     """Superoperator of the Kraus sum over ops on k wires.
 
     Pair-ordered and complex by default; with ``real`` the Gell-Mann
-    transfer matrix, real for any Hermiticity-preserving map.
+    transfer matrix of a trace-preserving channel, whose row 0 is exactly
+    e_0.
     """
     m = sum(np.kron(op, op.conj()) for op in ops)
     pair = _pairing(k)
@@ -262,7 +265,13 @@ def _superop(ops: Iterable[np.ndarray], k: int, real: bool = False) -> np.ndarra
     to = _TO_GELL_MANN
     for _ in range(k - 1):
         to = np.kron(to, _TO_GELL_MANN)
-    return (to @ m @ to.conj().T).real
+    m = (to @ m @ to.conj().T).real
+    # Set row 0 to e_0 exactly, or the rounding of 1/sqrt(3) drifts the
+    # trace by ~1e-12 a step.  Twirl row scaling, kron with the identity and
+    # matrix products all keep the exact row.
+    m[0] = 0
+    m[0, 0] = 1
+    return m
 
 
 def _twirl_diagonal(k: int, p1: float) -> np.ndarray:
@@ -285,8 +294,6 @@ def _gate_transfers(circuit: Circuit, p1: float) -> list[tuple[tuple[int, ...], 
     for g in circuit.gates:
         support = tuple(sorted(_support(g)))
         k = len(support)
-        if k > 2:
-            raise ValueError("lowered circuit still holds a multi-controlled gate")
         local = {w: i + 1 for i, w in enumerate(support)}
         target = local[g.target]
         controls = tuple((local[w], v) for w, v in g.controls)
@@ -338,22 +345,26 @@ def simulate_noisy_walk(
     real = cfg.gate_noise_enabled
     circuit = lower_circuit(layer) if real else layer
 
-    # (wires, superoperator) in the order they act within one step.
+    # (0-based tensor axes, matrix) in the order they act within one step.
     ops: list[tuple[tuple[int, ...], np.ndarray]] = []
     if real:
         for support, m in _gate_transfers(circuit, cfg.p1):
+            axes = tuple(w - 1 for w in support)
             # Fuse runs whose supports share a wire pair into one contraction;
             # exact, since each entry is already the gate's full noisy map.
             if ops:
-                prev_support, prev = ops[-1]
-                union = tuple(sorted(set(prev_support) | set(support)))
+                prev_axes, prev = ops[-1]
+                union = tuple(sorted(set(prev_axes) | set(axes)))
                 if len(union) <= 2:
                     ops[-1] = (
                         union,
-                        _promote_superop(m, support, union) @ _promote_superop(prev, prev_support, union),
+                        _promote_superop(m, axes, union) @ _promote_superop(prev, prev_axes, union),
                     )
                     continue
-            ops.append((support, m))
+            ops.append((axes, m))
+    else:
+        u = circuit_unitary(circuit)
+        ops = [(tuple(range(width)), u), (tuple(range(width, 2 * width)), u.conj())]
 
     if cfg.idle_kind != "none":
         if cfg.idle_kind == "amplitude":
@@ -361,28 +372,11 @@ def simulate_noisy_walk(
         else:
             idle = phase_damping_channel(cfg.r1, cfg.t_idle)
         m = _superop(idle.operators, 1, real)
-        ops += [((w,), m) for w in idle_wires(circuit, cfg.idle_scope)]
+        for w in idle_wires(circuit, cfg.idle_scope):
+            ops.append(((w - 1,) if real else (w - 1, width + w - 1), m))
 
-    if real:
-        # Every map here preserves the trace, so row 0 is exactly e_0; set it
-        # so, or the rounding of 1/sqrt(3) drifts the trace by ~1e-12 a step.
-        for _, m in ops:
-            m[0] = 0
-            m[0, 0] = 1
-        local_ops = [(tuple(w - 1 for w in wires), m) for wires, m in ops]
-        c = _to_gell_mann(rho0, width)
-        for _ in range(steps):
-            for axes, m in local_ops:
-                c = apply_local(c, m, axes)
-            yield _from_gell_mann(c, width)
-        return
-
-    dense = circuit_unitary(circuit)
-    shape = (3,) * (2 * width)
-    rho = rho0
+    t = _to_gell_mann(rho0, width) if real else rho0.reshape((3,) * (2 * width))
     for _ in range(steps):
-        t = (dense @ rho @ dense.conj().T).reshape(shape)
-        for (w,), m in ops:
-            t = apply_local(t, m, (w - 1, width + w - 1))
-        rho = t.reshape(dim, dim)
-        yield rho.copy()
+        for axes, m in ops:
+            t = apply_local(t, m, axes)
+        yield _from_gell_mann(t, width) if real else t.reshape(dim, dim).copy()

@@ -51,17 +51,20 @@ _PHASE_TABLE = {
 }
 
 
-def _one_hot(value: float, slot: int, nslots: int) -> np.ndarray:
-    a = np.zeros(nslots)
-    a[slot] = value
-    return a
+def _mc_rotation(
+    axis: str, angle: float, controls: tuple[tuple[int, int], ...], target: int
+) -> list[Gate]:
+    """R_axis(angle) on the target exactly when every control holds its value.
 
-
-def _slot_of(values: tuple[int, ...]) -> int:
-    idx = 0
-    for v in values:
-        idx = 3 * idx + v
-    return idx
+    The valued controls pick one slot of the expander's angle vector, read
+    as a base-3 number in control order; every other slot is zero.
+    """
+    slot = 0
+    for _, v in controls:
+        slot = 3 * slot + v
+    angles = np.zeros(3 ** len(controls))
+    angles[slot] = angle
+    return expand_mc_rotation(axis, angles, tuple(w for w, _ in controls), target)
 
 
 def mc_phase_gates(theta: float, controls: tuple[tuple[int, int], ...]) -> list[Gate]:
@@ -76,7 +79,7 @@ def mc_phase_gates(theta: float, controls: tuple[tuple[int, int], ...]) -> list[
     if not controls:
         raise ValueError("need at least one control wire")
     controls = tuple(sorted((int(w), int(v)) for w, v in controls))
-    *rest, (last_w, last_v) = controls
+    rest, (last_w, last_v) = controls[:-1], controls[-1]
     fa, fb = _PHASE_TABLE[last_v]
     psi_a, psi_b = fa * theta, fb * theta
     if not rest:
@@ -85,12 +88,9 @@ def mc_phase_gates(theta: float, controls: tuple[tuple[int, int], ...]) -> list[
             rotation("Z01", psi_a, last_w),
             rotation("Z12", psi_b, last_w),
         ]
-    rest_wires = tuple(w for w, _ in rest)
-    rest_slot = _slot_of(tuple(v for _, v in rest))
-    nslots = 3 ** len(rest)
-    gates = mc_phase_gates(theta / 3, tuple(rest))
-    gates += expand_mc_rotation("Z12", _one_hot(psi_b, rest_slot, nslots), rest_wires, last_w)
-    gates += expand_mc_rotation("Z01", _one_hot(psi_a, rest_slot, nslots), rest_wires, last_w)
+    gates = mc_phase_gates(theta / 3, rest)
+    gates += _mc_rotation("Z12", psi_b, rest, last_w)
+    gates += _mc_rotation("Z01", psi_a, rest, last_w)
     return gates
 
 
@@ -102,23 +102,18 @@ _SHIFT_STAGES = {
 }
 
 
-def _mc_x_gates(
-    kind: str, ctrl_wires: tuple[int, ...], values: tuple[int, ...], target: int
-) -> list[Gate]:
-    controls = tuple(zip(ctrl_wires, values))
-    slot = _slot_of(values)
-    nslots = 3 ** len(ctrl_wires)
+def _mc_x_gates(kind: str, controls: tuple[tuple[int, int], ...], target: int) -> list[Gate]:
     if kind in _SHIFT_STAGES:
         gates = []
         for axis, angle in _SHIFT_STAGES[kind]:
-            gates += expand_mc_rotation(axis, _one_hot(angle, slot, nslots), ctrl_wires, target)
+            gates += _mc_rotation(axis, angle, controls, target)
     elif kind in ("X01", "X12", "X02"):
         # X01 = R_Y01(-pi/2) e^{i pi/3} R_Z01(-pi/3) R_Z12(pi/3); X12 and X02
         # are its conjugates by uncontrolled target shifts.
-        core = expand_mc_rotation("Z12", _one_hot(np.pi / 3, slot, nslots), ctrl_wires, target)
-        core += expand_mc_rotation("Z01", _one_hot(-np.pi / 3, slot, nslots), ctrl_wires, target)
+        core = _mc_rotation("Z12", np.pi / 3, controls, target)
+        core += _mc_rotation("Z01", -np.pi / 3, controls, target)
         core += mc_phase_gates(np.pi / 3, controls)
-        core += expand_mc_rotation("Y01", _one_hot(-np.pi / 2, slot, nslots), ctrl_wires, target)
+        core += _mc_rotation("Y01", -np.pi / 2, controls, target)
         if kind == "X01":
             gates = core
         elif kind == "X12":
@@ -141,8 +136,7 @@ def compile_mc_x_target_last(n: int, a: int, x: str) -> Circuit:
         raise ValueError("need at least one control wire, so n >= 2")
     if a not in (0, 1, 2):
         raise ValueError(f"control value must be 0, 1 or 2, got {a!r}")
-    ctrl_wires = tuple(range(1, n))
-    gates = _mc_x_gates(x, ctrl_wires, (a,) * (n - 1), n)
+    gates = _mc_x_gates(x, tuple((w, a) for w in range(1, n)), n)
     return Circuit(n, tuple(gates))
 
 
@@ -215,24 +209,16 @@ def lower_circuit(c: Circuit) -> Circuit:
         if len(g.controls) < 2:
             gates.append(g)
             continue
-        ctrl_wires = tuple(w for w, _ in g.controls)
-        values = tuple(v for _, v in g.controls)
-        slot = _slot_of(values)
-        nslots = 3 ** len(ctrl_wires)
         if g.kind == "rotation":
-            gates += expand_mc_rotation(
-                g.axis, _one_hot(g.angle, slot, nslots), ctrl_wires, g.target
-            )
+            gates += _mc_rotation(g.axis, g.angle, g.controls, g.target)
         elif g.kind == "phase":
             gates += mc_phase_gates(g.angle, g.controls)
         elif g.kind == "xgate":
-            gates += _mc_x_gates(g.xkind, ctrl_wires, values, g.target)
+            gates += _mc_x_gates(g.xkind, g.controls, g.target)
         else:
             d = decompose_u3(g.matrix)
             if abs(d.alpha) > 1e-12:
                 gates += mc_phase_gates(d.alpha, g.controls)
             for axis, angle in su3_factors(d.su3):
-                gates += expand_mc_rotation(
-                    axis, _one_hot(angle, slot, nslots), ctrl_wires, g.target
-                )
+                gates += _mc_rotation(axis, angle, g.controls, g.target)
     return Circuit(c.width, tuple(gates))

@@ -313,8 +313,16 @@ def test_walk_rejects_density_over_budget(tmp_path, capsys, monkeypatch):
         ["walk", "--config", "{tmp}/c.ini", "--out", "{tmp}/taken"],
         ["count", "--graph", "cycle", "--n-max", "1", "--out", "{tmp}/taken"],
         ["count", "--graph", "cycle", "--n-min", "0"],
+        ["count", "--graph", "dihedral", "--liveliness", "2"],
     ],
-    ids=["su3-missing", "blockdiag-missing", "walk-out-is-file", "count-out-is-file", "count-n-min-0"],
+    ids=[
+        "su3-missing",
+        "blockdiag-missing",
+        "walk-out-is-file",
+        "count-out-is-file",
+        "count-n-min-0",
+        "count-dihedral-liveliness",
+    ],
 )
 def test_input_and_output_errors_are_one_line(tmp_path, capsys, monkeypatch, argv):
     # Unreadable inputs and an --out that names a file, not a directory, are

