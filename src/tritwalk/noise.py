@@ -194,7 +194,9 @@ def idle_wires(circuit: Circuit, scope: str) -> tuple[int, ...]:
 # gate plus its depolarizing twirl is a single op.  Only this path pairs
 # each wire's ket and bra axes.
 
-# Budget for one complex density, 16 * 9^width bytes.
+# Budget for one complex density, 16 * 9^width bytes, plus with gate noise
+# the fused step ops, 8 * 81^k bytes for each real op on k wires: on a padded
+# dihedral layer the op list, not the density, is what fills memory.
 DENSITY_BUDGET_BYTES = 2**30
 
 
@@ -218,14 +220,15 @@ _TO_GELL_MANN = _GELL_MANN.conj().reshape(9, 9)
 _FROM_GELL_MANN = _TO_GELL_MANN.conj().T
 
 
-def check_density_budget(width: int) -> None:
-    """Refuse a register whose complex density exceeds DENSITY_BUDGET_BYTES."""
-    size = 16 * 9**width
+def check_density_budget(width: int, ops_bytes: int = 0) -> None:
+    """Refuse a complex density plus ops_bytes of step ops over DENSITY_BUDGET_BYTES."""
+    size = 16 * 9**width + ops_bytes
     if size > DENSITY_BUDGET_BYTES:
-        raise ValueError(
-            f"a density on {width} wires takes {size} bytes, "
-            f"over the {DENSITY_BUDGET_BYTES}-byte budget"
-        )
+        if ops_bytes:
+            what = f"a density on {width} wires and its gate-noise step ops take at least"
+        else:
+            what = f"a density on {width} wires takes"
+        raise ValueError(f"{what} {size} bytes, over the {DENSITY_BUDGET_BYTES}-byte budget")
 
 
 def _pairing(n: int) -> list[int]:
@@ -348,6 +351,9 @@ def simulate_noisy_walk(
     # (0-based tensor axes, matrix) in the order they act within one step.
     ops: list[tuple[tuple[int, ...], np.ndarray]] = []
     if real:
+        # Every op counts as its own matrix, an upper bound since unfused
+        # gates share theirs, and the build stops within one op of the budget.
+        ops_bytes = 0
         for support, m in _gate_transfers(circuit, cfg.p1):
             axes = tuple(w - 1 for w in support)
             # Fuse runs whose supports share a wire pair into one contraction;
@@ -356,11 +362,12 @@ def simulate_noisy_walk(
                 prev_axes, prev = ops[-1]
                 union = tuple(sorted(set(prev_axes) | set(axes)))
                 if len(union) <= 2:
-                    ops[-1] = (
-                        union,
-                        _promote_superop(m, axes, union) @ _promote_superop(prev, prev_axes, union),
-                    )
-                    continue
+                    ops.pop()
+                    ops_bytes -= prev.nbytes
+                    m = _promote_superop(m, axes, union) @ _promote_superop(prev, prev_axes, union)
+                    axes = union
+            ops_bytes += m.nbytes
+            check_density_budget(width, ops_bytes)
             ops.append((axes, m))
     else:
         u = circuit_unitary(circuit)

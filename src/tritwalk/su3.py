@@ -6,12 +6,13 @@ product; temporally the 12 block acts first).  Eight angles suffice because
 the first-column reduction leaves no phase freedom on the middle step.  A U(3)
 matrix adds one global phase, a third of the determinant's argument.
 
-The parameter extraction reads angles off matrix entries with atan2 on moduli
-(no divisions, no arccos), so it is stable at the boundaries.  When the first
-column is concentrated in the middle entry the generic read-off degenerates;
-the decomposition then falls back to closed-form candidates and keeps whichever
-reconstructs best.  Callers should rely on the reconstruction residual, never
-on particular angle values.
+The parameter extraction follows the column-nulling of Reck et al. (PRL 73,
+58, 1994): the first column fixes the 02 and 01 sandwiches, and the 12
+sandwich is read off the remainder once those two are peeled from the matrix.
+Angles come from atan2 on moduli (no divisions, no arccos), so the read-off is
+stable at the boundaries, including a first column concentrated in one entry.
+Callers should rely on the reconstruction residual, never on particular angle
+values.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .circuit import Circuit, Gate, rotation
-from .gates import checked_unitary, frobenius_distance, rotation_matrix
+from .gates import checked_unitary, rotation_matrix
 
 __all__ = [
     "Su3Params",
@@ -89,68 +90,25 @@ def _arg(z: complex) -> float:
     return float(np.angle(z)) if abs(z) > _PHASE_EPS else 0.0
 
 
-def _generic_params(u: np.ndarray) -> Su3Params:
-    theta2 = np.arctan2(abs(u[1, 0]), np.hypot(abs(u[0, 0]), abs(u[2, 0])))
-    theta1 = np.arctan2(abs(u[2, 0]), abs(u[0, 0]))
-    theta3 = np.arctan2(abs(u[1, 2]), abs(u[1, 1]))
-    return Su3Params(
-        theta1=float(theta1),
-        phi1=-_arg(u[0, 0]),
-        psi1=-_arg(u[2, 0]),
-        theta2=float(theta2),
-        psi2=-_arg(u[1, 0]),
-        theta3=float(theta3),
-        phi3=-_arg(u[1, 1]),
-        psi3=_arg(-u[1, 2]),
-    )
-
-
-def _middle_row_params(u: np.ndarray) -> Su3Params:
-    # First column concentrated in u21: put all the work in the 12 sandwich.
-    return Su3Params(
-        theta1=0.0,
-        phi1=0.0,
-        psi1=0.0,
-        theta2=np.pi / 2,
-        psi2=-_arg(u[1, 0]),
-        theta3=float(np.arctan2(abs(u[2, 1]), abs(u[2, 2]))),
-        phi3=_arg(u[2, 2]),
-        psi3=-_arg(u[2, 1]),
-    )
-
-
-def _antidiagonal_params(u: np.ndarray) -> Su3Params:
-    # All three thetas at a quarter turn; covers anti-diagonal upper blocks.
-    return Su3Params(
-        theta1=np.pi / 2,
-        phi1=0.0,
-        psi1=_arg(-u[0, 1]),
-        theta2=np.pi / 2,
-        psi2=-_arg(u[1, 0]),
-        theta3=np.pi / 2,
-        phi3=0.0,
-        psi3=0.0,
-    )
-
-
 def _su3_params(u: np.ndarray) -> Su3Params:
     """decompose_su3 for a complex 3x3 array already checked to be unitary."""
     if abs(np.linalg.det(u) - 1) > 1e-8:
         raise ValueError("input must have unit determinant; use decompose_u3")
-    best, best_res = None, np.inf
-    for extract in (_generic_params, _middle_row_params, _antidiagonal_params):
-        p = extract(u)
-        res = frobenius_distance(reconstruct_su3(p), u)
-        if res < best_res:
-            best, best_res = p, res
-    return best
+    # The first column is S02 S01 e0: it fixes the 02 and 01 sandwiches.
+    theta1 = float(np.arctan2(abs(u[2, 0]), abs(u[0, 0])))
+    theta2 = float(np.arctan2(abs(u[1, 0]), np.hypot(abs(u[0, 0]), abs(u[2, 0]))))
+    phi1, psi1, psi2 = -_arg(u[0, 0]), -_arg(u[2, 0]), -_arg(u[1, 0])
+    # What remains, (S02 S01)^dagger u, is the 12 sandwich.
+    r = reconstruct_su3(Su3Params(theta1, phi1, psi1, theta2, psi2, 0.0, 0.0, 0.0)).conj().T @ u
+    theta3 = float(np.arctan2(abs(r[1, 2]), abs(r[1, 1])))
+    return Su3Params(theta1, phi1, psi1, theta2, psi2, theta3, -_arg(r[1, 1]), _arg(-r[1, 2]))
 
 
 def decompose_su3(u: np.ndarray) -> Su3Params:
     """Extract the eight rotation angles of a special unitary 3x3 matrix.
 
-    Tries the generic entry read-off plus two degenerate-case closed forms and
-    returns whichever parameters reconstruct ``u`` with least residual.
+    The first column gives the 02 and 01 angles; the 12 angles are read off
+    the remainder left once those two sandwiches are peeled from ``u``.
     """
     return _su3_params(checked_unitary(u, "input"))
 

@@ -305,6 +305,20 @@ def test_walk_rejects_density_over_budget(tmp_path, capsys, monkeypatch):
     assert main(["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", "none"]) == 0
 
 
+def test_walk_rejects_gate_noise_ops_over_budget(tmp_path, capsys, monkeypatch):
+    import tritwalk.noise
+
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[graph]\nkind = dihedral\nvertices = 27\n\n[run]\nsteps = 3\n")
+    # The 5-wire density fits; the 559 fused ops of the lowered layer do not.
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 2 * 10**6)
+    argv = ["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", "gate"]
+    assert main(argv + ["--epsilon", "4", "--seed", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "gate-noise step ops" in err[0]
+    assert not (tmp_path / "walk.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -417,6 +417,22 @@ def test_density_budget_checked_before_lowering(monkeypatch):
         next(simulate_noisy_walk(layer, 3, rho, 1, noise))
 
 
+def test_gate_noise_ops_count_against_the_budget(monkeypatch):
+    # Dihedral-27 lowers to 559 fused 81 x 81 ops, 29 MB, next to a 0.9 MB
+    # density; a 2 MB budget admits the density but not the op list.
+    layer = build_layer_dihedral(27, CoinSpec("xclass", theta=np.pi))
+    rho = np.zeros((3**5, 3**5))
+    rho[0, 0] = 1
+    budget = 2 * 10**6
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", budget)
+    noise = NoiseConfig(gate_noise_enabled=True, p1=1e-4)
+    with pytest.raises(ValueError, match="5 wires and its gate-noise step ops") as err:
+        next(simulate_noisy_walk(layer, 5, rho, 1, noise))
+    # The build stops at the op that passes the budget, not after the list.
+    size = int(str(err.value).split("at least ")[1].split(" bytes")[0])
+    assert budget < size <= budget + 8 * 81**2
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -1,7 +1,9 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from helpers import diagonal_phase_matrix, random_su3, random_unitary
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tritwalk.gates
@@ -17,6 +19,7 @@ from tritwalk.su3 import (
     reconstruct_su3,
     reconstruct_u3,
 )
+from tritwalk.walk import CoinSpec, coin_matrix
 
 ZERO = Su3Params(0, 0, 0, 0, 0, 0, 0, 0)
 
@@ -116,17 +119,55 @@ def test_decompose_u3_roundtrip():
         assert frobenius_distance(reconstruct_u3(d), u) < 1e-9
 
 
+# (alpha, theta1, phi1, psi1, theta2, psi2, theta3, phi3, psi3) for five
+# unitaries drawn from default_rng(71) and the Grover coin.  They were taken
+# from a read-off of the 12 angles off the middle row of u, which agrees with
+# the peeled remainder wherever |u10| is well below 1.
+PINNED_U3_ANGLES = [
+    (-0.0986596724204744, 1.3161512446851154, 1.3145347851859595, 1.1785858215547858,
+     0.31665576655227956, 1.6944489158254232, 0.9490670548662736, -0.052054679028298245,
+     -2.6275939625093336),
+    (0.2619613666067965, 1.1939610579195292, 1.5012513159767162, -0.9094210572427595,
+     0.710135750276186, 0.9216368953888007, 0.9974630082242985, -2.8592327873953822,
+     -2.52657760783935),
+    (0.839246091402849, 0.8701977148726568, 0.8102855990479605, -2.795797287501703,
+     0.8090006588920368, 1.401677671466999, 0.14092027863353643, -2.309860371057711,
+     -3.0966094414661107),
+    (-0.2412999299388017, 0.7354726248393296, 2.888963566866344, 2.529587771755008,
+     0.5991867828950141, 1.8997422039617744, 0.6805774600649088, -0.3056189877388678,
+     -1.5453993143698896),
+    (-0.956540034494349, 1.0374700300101596, 3.0642039454869936, -1.0793049388166454,
+     0.6840932278200766, -2.8191070808325343, 1.1462210857235935, 3.1409618487562856,
+     2.1057977089943454),
+    (0.0, 1.1071487177940906, -3.141592653589793, -0.0, 0.7297276562269662, -0.0,
+     1.1071487177940906, -3.141592653589793, -3.141592653589793),
+]
+
+
+def test_decompose_u3_angles_pinned_on_generic_matrices():
+    # A sign or conjugation slip in the 12 read-off can still round-trip on
+    # some inputs; fixed angles catch it.  Compared modulo 2 pi, which leaves
+    # the factorization unchanged, so a signed-zero flip of a phase of pi
+    # does not count.
+    rng = np.random.default_rng(71)
+    mats = [random_unitary(rng) for _ in range(5)] + [coin_matrix(CoinSpec("xclass", theta=np.pi))]
+    for u, want in zip(mats, PINNED_U3_ANGLES):
+        d = decompose_u3(u)
+        got = np.array([d.alpha, *astuple(d.su3)])
+        assert np.abs(np.angle(np.exp(1j * (got - np.array(want))))).max() < 1e-12
+
+
 def _degenerate_u3(rng, branch):
     """A unitary on one degenerate branch of the decomposition, up to phase."""
     psi1, psi2 = rng.uniform(-np.pi, np.pi, 2)
     u = np.zeros((3, 3), dtype=complex)
     if branch == "middle_row":
-        # First column wholly in u10, as _middle_row_params reads it.
+        # First column wholly in u10: the 02 sandwich carries no rotation.
         v = random_unitary(rng, 2)
         u[1, 0] = np.exp(-1j * psi2)
         u[0, 1:], u[2, 1:] = v[0], v[1]
     elif branch == "antidiagonal":
-        # Anti-diagonal upper block, as _antidiagonal_params reads it.
+        # Anti-diagonal upper block: first column in u10, diagonal remainder.
         u[0, 1] = -np.exp(1j * psi1)
         u[1, 0] = np.exp(-1j * psi2)
         u[2, 2] = np.exp(1j * (psi2 - psi1))
@@ -143,20 +184,19 @@ def _degenerate_u3(rng, branch):
     branch=st.sampled_from(("middle_row", "antidiagonal", "u00")),
     log_eps=st.floats(-16, -1),
 )
+@example(seed=0, branch="middle_row", log_eps=-7.0)
+@example(seed=0, branch="antidiagonal", log_eps=-8.0)
 def test_decompose_u3_round_trips_near_degenerate_branches(seed, branch, log_eps):
     # A unitary kick of size eps = 10^log_eps moves the matrix off the branch
-    # by about eps, where the generic read-off and the closed forms compete.
-    # With |u10| near 1 the generic read-off takes the 12 sandwich from the
-    # middle row, whose entries shrink like eps, so it errs by ~1e-16/eps
-    # while the closed forms err by ~eps: the residual peaks at 4.3e-8 near
-    # eps = 1e-8 (a known defect), against 3.1e-12 on the |u00| branch.
+    # by about eps.  The 12 sandwich is read off the peeled remainder, whose
+    # 12 block stays of unit size however the first column falls, so the
+    # round trip holds at 1e-9 at every eps on every branch.
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     w, v = np.linalg.eigh(h + h.conj().T)
     kick = (v * np.exp(1j * 10.0**log_eps * w)) @ v.conj().T
     u = np.exp(1j * rng.uniform(-np.pi, np.pi)) * kick @ _degenerate_u3(rng, branch)
-    bound = 1e-9 if branch == "u00" else 1e-7
-    assert frobenius_distance(reconstruct_u3(decompose_u3(u)), u) < bound
+    assert frobenius_distance(reconstruct_u3(decompose_u3(u)), u) < 1e-9
 
 
 def test_decompose_u3_global_phase_only():
