@@ -1,12 +1,15 @@
 """Circuit IR: gates with valued controls on qutrit wires.
 
-A :class:`Gate` applies a 3x3 operation to one target wire, optionally gated
-on other wires each holding a specific value in {0, 1, 2} (the circled-value
-controls of ternary circuit diagrams).  A :class:`Circuit` is an ordered gate
-list; the list order is temporal, so the first gate acts first and the dense
-unitary is the reversed matrix product.
+A :class:`Gate` applies one elementary operation to one target wire, of kind
+rotation (two-level), xgate (two-level or cyclic X) or phase (global),
+optionally gated on other wires each holding a specific value in {0, 1, 2}
+(the circled-value controls of ternary circuit diagrams).  An arbitrary 3x3
+unitary enters a circuit as ``phase`` plus ``params_to_circuit`` of
+``decompose_u3``.  A :class:`Circuit` is an ordered gate list; the list order
+is temporal, so the first gate acts first and the dense unitary is the
+reversed matrix product.
 
-Circuits are immutable once built.
+Gates are hashable values, and circuits are immutable once built.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gates import AXES, X_KINDS, checked_unitary, phase_matrix, rotation_matrix, x_matrix
+from .gates import AXES, X_KINDS, phase_matrix, rotation_matrix, x_matrix
 
 __all__ = [
     "Gate",
@@ -26,7 +29,6 @@ __all__ = [
     "rotation",
     "xgate",
     "phase",
-    "custom",
     "gate_matrix",
     "apply_local",
     "embed_gate",
@@ -39,10 +41,10 @@ __all__ = [
     "register_width",
 ]
 
-KINDS = ("rotation", "xgate", "phase", "custom")
+KINDS = ("rotation", "xgate", "phase")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Gate:
     """One gate: kind, per-kind payload, 1-based target wire, valued controls."""
 
@@ -51,7 +53,6 @@ class Gate:
     axis: str | None = None
     angle: float | None = None
     xkind: str | None = None
-    matrix: np.ndarray | None = None
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
@@ -65,11 +66,8 @@ class Gate:
         elif self.kind == "xgate":
             if self.xkind not in X_KINDS:
                 raise ValueError(f"unknown X gate kind {self.xkind!r}")
-        elif self.kind == "phase":
-            if self.angle is None:
-                raise ValueError("phase gate needs an angle")
-        else:
-            object.__setattr__(self, "matrix", checked_unitary(self.matrix, "custom gate"))
+        elif self.angle is None:
+            raise ValueError("phase gate needs an angle")
         ctrls = tuple(sorted((int(w), int(v)) for w, v in self.controls))
         wires = [w for w, _ in ctrls]
         if len(set(wires)) != len(wires):
@@ -98,19 +96,13 @@ def phase(angle: float, target: int, controls: Iterable[tuple[int, int]] = ()) -
     return Gate("phase", target, angle=float(angle), controls=tuple(controls))
 
 
-def custom(matrix: np.ndarray, target: int, controls: Iterable[tuple[int, int]] = ()) -> Gate:
-    return Gate("custom", target, matrix=matrix, controls=tuple(controls))
-
-
 def gate_matrix(g: Gate) -> np.ndarray:
     """The 3x3 matrix the gate applies on its target (controls not included)."""
     if g.kind == "rotation":
         return rotation_matrix(g.axis, g.angle)
     if g.kind == "xgate":
         return x_matrix(g.xkind)
-    if g.kind == "phase":
-        return phase_matrix(g.angle)
-    return g.matrix.copy()
+    return phase_matrix(g.angle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +214,8 @@ def apply_state(c: Circuit, psi: np.ndarray) -> np.ndarray:
 def _invert_gate(g: Gate) -> Gate:
     if g.kind in ("rotation", "phase"):
         return replace(g, angle=-g.angle)
-    if g.kind == "xgate":
-        flip = {"X+1": "X+2", "X+2": "X+1"}
-        return replace(g, xkind=flip.get(g.xkind, g.xkind))
-    return replace(g, matrix=g.matrix.conj().T)
+    flip = {"X+1": "X+2", "X+2": "X+1"}
+    return replace(g, xkind=flip.get(g.xkind, g.xkind))
 
 
 def inverse(c: Circuit) -> Circuit:

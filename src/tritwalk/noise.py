@@ -171,7 +171,7 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
 
 
 def _support(g: Gate) -> tuple[int, ...]:
-    return (g.target,) + tuple(w for w, _ in g.controls)
+    return tuple(sorted((g.target,) + tuple(w for w, _ in g.controls)))
 
 
 def idle_wires(circuit: Circuit, scope: str) -> tuple[int, ...]:
@@ -189,14 +189,14 @@ def idle_wires(circuit: Circuit, scope: str) -> tuple[int, ...]:
 # the bra axes, and each one-wire idle channel is a 9 x 9 superoperator
 # indexed (ket, bra).  With gate noise the density is instead one real
 # (9,)*width tensor of coefficients in the per-wire orthonormal Gell-Mann
-# basis (Bertlmann & Krammer, arXiv:0806.1174), in wire order, and every
-# noisy gate or idle channel is a real 9^k x 9^k transfer matrix, so one
-# gate plus its depolarizing twirl is a single op.  Only this path pairs
-# each wire's ket and bra axes.
+# basis (Bertlmann & Krammer, arXiv:0806.1174), in wire order, and a run of
+# gates on at most two wires, each with its depolarizing twirl, or an idle
+# channel is one real 9^k x 9^k transfer matrix.  Only this path pairs each
+# wire's ket and bra axes.
 
 # Budget for one complex density, 16 * 9^width bytes, plus with gate noise
-# the fused step ops, 8 * 81^k bytes for each real op on k wires: on a padded
-# dihedral layer the op list, not the density, is what fills memory.
+# 8 * 81^k bytes for each distinct run matrix on k wires: on a padded
+# dihedral layer those matrices, not the density, are what fills memory.
 DENSITY_BUDGET_BYTES = 2**30
 
 
@@ -225,7 +225,7 @@ def check_density_budget(width: int, ops_bytes: int = 0) -> None:
     size = 16 * 9**width + ops_bytes
     if size > DENSITY_BUDGET_BYTES:
         if ops_bytes:
-            what = f"a density on {width} wires and its gate-noise step ops take at least"
+            what = f"a density on {width} wires and its gate-noise step ops take"
         else:
             what = f"a density on {width} wires takes"
         raise ValueError(f"{what} {size} bytes, over the {DENSITY_BUDGET_BYTES}-byte budget")
@@ -285,35 +285,62 @@ def _twirl_diagonal(k: int, p1: float) -> np.ndarray:
     return d
 
 
-def _gate_transfers(circuit: Circuit, p1: float) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """(support, transfer matrix) of every gate followed by its twirl.
-
-    Each gate is relabelled to wires 1..k of its sorted support; gates
-    that are equal after relabelling share one matrix, built once.
-    """
-    twirls = {k: _twirl_diagonal(k, p1) for k in (1, 2)}
-    built: dict[tuple, np.ndarray] = {}
-    out = []
-    for g in circuit.gates:
-        support = tuple(sorted(_support(g)))
-        k = len(support)
-        local = {w: i + 1 for i, w in enumerate(support)}
-        target = local[g.target]
-        controls = tuple((local[w], v) for w, v in g.controls)
-        matrix = None if g.matrix is None else g.matrix.tobytes()
-        key = (g.kind, g.axis, g.angle, g.xkind, matrix, target, controls)
-        m = built.get(key)
-        if m is None:
-            moved = replace(g, target=target, controls=controls)
-            m = built[key] = twirls[k][:, None] * _superop((embed_gate(k, moved),), k, real=True)
-        out.append((support, m))
-    return out
-
-
 def _promote_superop(m: np.ndarray, axes: tuple[int, ...], to: tuple[int, ...]) -> np.ndarray:
     if axes == to:
         return m
     return np.kron(m, np.eye(9)) if axes[0] == to[0] else np.kron(np.eye(9), m)
+
+
+def _relabel(g: Gate, support: tuple[int, ...]) -> Gate:
+    """The gate moved onto wires 1..k of a sorted support, their order kept."""
+    local = {w: i + 1 for i, w in enumerate(support)}
+    return replace(g, target=local[g.target], controls=tuple((local[w], v) for w, v in g.controls))
+
+
+def _gate_noise_ops(circuit: Circuit, p1: float) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(0-based axes, transfer matrix) of every gate plus its twirl, fused.
+
+    Gates are planned into maximal runs on at most two wires from their
+    supports alone, and runs equal once relabelled onto wires 1..k share one
+    matrix.  The budget counts every distinct matrix before any is built;
+    each is then built once, fusing its gates' noisy maps in order.
+    """
+    runs: list[tuple[set[int], list[Gate]]] = []
+    for g in circuit.gates:
+        wires = set(_support(g))
+        if runs and len(runs[-1][0] | wires) <= 2:
+            runs[-1][0].update(wires)
+            runs[-1][1].append(g)
+        else:
+            runs.append((wires, [g]))
+    # Distinct (k, relabelled run) -> index into the matrices built below.
+    table: dict[tuple[int, tuple[Gate, ...]], int] = {}
+    placed = []
+    for wires, gates in runs:
+        support = tuple(sorted(wires))
+        key = (len(support), tuple(_relabel(g, support) for g in gates))
+        placed.append((tuple(w - 1 for w in support), table.setdefault(key, len(table))))
+    check_density_budget(circuit.width, sum(8 * 81**k for k, _ in table))
+
+    twirls = {k: _twirl_diagonal(k, p1) for k in (1, 2)}
+    transfers: dict[Gate, np.ndarray] = {}
+    matrices = []
+    for _, run in table:
+        axes: tuple[int, ...] = ()
+        for g in run:
+            support = _support(g)
+            local = _relabel(g, support)
+            if local not in transfers:
+                k = len(support)
+                transfers[local] = twirls[k][:, None] * _superop((embed_gate(k, local),), k, real=True)
+            m = transfers[local]
+            if axes:
+                union = tuple(sorted(set(axes) | set(support)))
+                m = _promote_superop(m, support, union) @ _promote_superop(fused, axes, union)
+                support = union
+            axes, fused = support, m
+        matrices.append(fused)
+    return [(axes, matrices[i]) for axes, i in placed]
 
 
 def simulate_noisy_walk(
@@ -349,26 +376,8 @@ def simulate_noisy_walk(
     circuit = lower_circuit(layer) if real else layer
 
     # (0-based tensor axes, matrix) in the order they act within one step.
-    ops: list[tuple[tuple[int, ...], np.ndarray]] = []
     if real:
-        # Every op counts as its own matrix, an upper bound since unfused
-        # gates share theirs, and the build stops within one op of the budget.
-        ops_bytes = 0
-        for support, m in _gate_transfers(circuit, cfg.p1):
-            axes = tuple(w - 1 for w in support)
-            # Fuse runs whose supports share a wire pair into one contraction;
-            # exact, since each entry is already the gate's full noisy map.
-            if ops:
-                prev_axes, prev = ops[-1]
-                union = tuple(sorted(set(prev_axes) | set(axes)))
-                if len(union) <= 2:
-                    ops.pop()
-                    ops_bytes -= prev.nbytes
-                    m = _promote_superop(m, axes, union) @ _promote_superop(prev, prev_axes, union)
-                    axes = union
-            ops_bytes += m.nbytes
-            check_density_budget(width, ops_bytes)
-            ops.append((axes, m))
+        ops = _gate_noise_ops(circuit, cfg.p1)
     else:
         u = circuit_unitary(circuit)
         ops = [(tuple(range(width)), u), (tuple(range(width, 2 * width)), u.conj())]

@@ -1,8 +1,11 @@
 """Multi-controlled X gates, controlled phases, and lowering passes.
 
-Everything here reduces to the same two primitives: multi-controlled
-rotations with one-hot angle vectors (a single active control pattern) and a
-recursive multi-controlled phase.  The shift targets X+1 and X+2 compile to
+The gate kinds are rotation, xgate and phase; an arbitrary 3x3 unitary
+enters a circuit as ``phase`` plus ``params_to_circuit`` of ``decompose_u3``,
+and a controlled one lowers as those gates do.  Everything here reduces to
+the same two primitives: multi-controlled rotations with one-hot angle
+vectors (a single active control pattern) and a recursive multi-controlled
+phase.  The shift targets X+1 and X+2 compile to
 two and four rotation ladders whose products are exactly the permutations.
 The transposition targets X01/X12/X02 have determinant -1, which no
 product of controlled rotations can reach, so they route through an explicit
@@ -32,7 +35,6 @@ from .circuit import (  # noqa: F401
     shift_gates,
     xgate,
 )
-from .su3 import decompose_u3, su3_factors
 
 __all__ = [
     "mc_phase_gates",
@@ -198,11 +200,9 @@ def compile_mc_x_target_first(n: int, a: int, x: str) -> Circuit:
 def lower_circuit(c: Circuit) -> Circuit:
     """Expand every gate with two or more controls into arity <= 2 form.
 
-    Rotations become one-hot ladders, phases become phase ladders, X targets
-    use the shift or transposition compilations, and custom matrices go
-    through the eight-angle decomposition (nine one-hot ladders) with a
-    controlled phase for their determinant.  Gates with at most one control
-    are kept as they are.
+    Rotations become one-hot ladders, phases become phase ladders, and X
+    targets use the shift or transposition compilations.  Gates with at most
+    one control are kept as they are.
     """
     gates: list[Gate] = []
     for g in c.gates:
@@ -213,12 +213,6 @@ def lower_circuit(c: Circuit) -> Circuit:
             gates += _mc_rotation(g.axis, g.angle, g.controls, g.target)
         elif g.kind == "phase":
             gates += mc_phase_gates(g.angle, g.controls)
-        elif g.kind == "xgate":
-            gates += _mc_x_gates(g.xkind, g.controls, g.target)
         else:
-            d = decompose_u3(g.matrix)
-            if abs(d.alpha) > 1e-12:
-                gates += mc_phase_gates(d.alpha, g.controls)
-            for axis, angle in su3_factors(d.su3):
-                gates += _mc_rotation(axis, angle, g.controls, g.target)
+            gates += _mc_x_gates(g.xkind, g.controls, g.target)
     return Circuit(c.width, tuple(gates))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from tritwalk.circuit import Circuit, custom, phase, rotation, xgate
+from tritwalk.circuit import Circuit, phase, rotation, xgate
 from tritwalk.gates import AXES, X_KINDS, phase_matrix, rotation_matrix
 from tritwalk.noise import clamped_p1
 
@@ -54,14 +54,12 @@ def random_gate(rng, width):
     k = int(rng.integers(0, len(free) + 1)) if free else 0
     wires = rng.choice(free, size=k, replace=False) if k else []
     controls = tuple((int(w), int(rng.integers(0, 3))) for w in wires)
-    roll = rng.integers(0, 4)
+    roll = rng.integers(0, 3)
     if roll == 0:
         return rotation(AXES[rng.integers(len(AXES))], rng.uniform(-np.pi, np.pi), target, controls)
     if roll == 1:
         return xgate(X_KINDS[rng.integers(len(X_KINDS))], target, controls)
-    if roll == 2:
-        return phase(rng.uniform(-np.pi, np.pi), target, controls)
-    return custom(random_unitary(rng), target, controls)
+    return phase(rng.uniform(-np.pi, np.pi), target, controls)
 
 
 def random_circuit(rng, width, ngates):

@@ -9,7 +9,6 @@ from tritwalk.circuit import (
     apply_state,
     circuit_unitary,
     count_gates,
-    custom,
     embed_gate,
     gate_matrix,
     inverse,
@@ -155,7 +154,7 @@ def test_count_gates_partition():
             xgate("X+1", 3),
             xgate("X+2", 3, controls=((1, 0), (2, 2))),
             phase(0.3, 1),
-            custom(np.eye(3), 2, controls=((3, 1),)),
+            rotation("Y12", 0.4, 2, controls=((3, 1),)),
         ),
     )
     counts = count_gates(c)
@@ -163,6 +162,14 @@ def test_count_gates_partition():
         one_qutrit_rotation=1, one_qutrit_other=2, two_qutrit_controlled=2, multi_controlled=1
     )
     assert counts.total == len(c)
+
+
+def test_gates_are_hashable_values():
+    a = rotation("Y01", 0.5, 2, controls=((3, 1), (1, 0)))
+    b = rotation("Y01", 0.5, 2, controls=((1, 0), (3, 1)))
+    assert a == b and hash(a) == hash(b)
+    assert a != rotation("Y01", 0.6, 2, controls=((1, 0), (3, 1)))
+    assert len({a, b, xgate("X+1", 1), inverse(Circuit(1, (xgate("X+2", 1),))).gates[0]}) == 2
 
 
 def test_validation_errors():
@@ -176,8 +183,6 @@ def test_validation_errors():
         rotation("Y01", 0.5, 2, controls=((3, 0), (3, 1)))  # duplicate wire
     with pytest.raises(ValueError):
         Circuit(2, (rotation("Y01", 0.5, 3),))  # wire out of range
-    with pytest.raises(ValueError):
-        custom(np.ones((3, 3)), 1)  # not unitary
 
 
 def test_register_width_exact():

@@ -310,7 +310,7 @@ def test_walk_rejects_gate_noise_ops_over_budget(tmp_path, capsys, monkeypatch):
 
     cfg = tmp_path / "c.ini"
     cfg.write_text("[graph]\nkind = dihedral\nvertices = 27\n\n[run]\nsteps = 3\n")
-    # The 5-wire density fits; the 559 fused ops of the lowered layer do not.
+    # The 5-wire density fits; the 81 distinct matrices of its 559 fused ops do not.
     monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 2 * 10**6)
     argv = ["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", "gate"]
     assert main(argv + ["--epsilon", "4", "--seed", "1"]) == 1

@@ -15,7 +15,7 @@ from tritwalk.noise import (
     NoiseConfig,
     _GELL_MANN,
     _from_gell_mann,
-    _gate_transfers,
+    _gate_noise_ops,
     _superop,
     _to_gell_mann,
     _twirl_diagonal,
@@ -236,19 +236,19 @@ def test_idle_scope_untouched_skips_busy_wires():
 
 
 def test_gate_noise_on_random_unitary_layer_matches_channel_oracle():
-    # One uncontrolled custom gate: per-gate twirl equals gate conjugation
-    # followed by a k=1 depolarizing channel.
-    from tritwalk.circuit import Circuit, custom
+    # One uncontrolled random rotation: per-gate twirl equals gate
+    # conjugation followed by a k=1 depolarizing channel.
+    from tritwalk.circuit import Circuit, gate_matrix, rotation
+    from tritwalk.gates import AXES
 
     rng = np.random.default_rng(31)
-    u = random_unitary(rng)
-    g = custom(u, 1)
+    g = rotation(AXES[rng.integers(len(AXES))], rng.uniform(-np.pi, np.pi), 1)
     layer = Circuit(2, (g,))
     rho = random_density(rng, 9)
     p1 = 0.02
     noise = NoiseConfig(gate_noise_enabled=True, p1=p1)
     got = next(simulate_noisy_walk(layer, 2, rho, 1, noise))
-    big = np.kron(u, np.eye(3))
+    big = np.kron(gate_matrix(g), np.eye(3))
     want = apply_channel(big @ rho @ big.conj().T, depolarizing_channel(1, p1), (1,))
     assert np.linalg.norm(got - want) < 1e-12
 
@@ -274,7 +274,7 @@ def test_superop_path_matches_explicit_kraus_route():
     crng = np.random.default_rng(324)
     randoms = [random_circuit(crng, width, 5) for _ in range(4)]
     drawn = [g for c in randoms for g in c.gates]
-    assert {g.kind for g in drawn} == {"rotation", "xgate", "phase", "custom"}
+    assert {g.kind for g in drawn} == {"rotation", "xgate", "phase"}
     assert {v for g in drawn for _, v in g.controls} == {0, 1, 2}
     assert {g.kind for g in drawn if len(g.controls) == 2} == {"rotation", "xgate", "phase"}
     cases = [(Circuit(width, gates), "amplitude")] + [
@@ -367,11 +367,15 @@ def test_twirl_is_diagonal_in_gell_mann_basis():
         assert np.abs(m - np.diag(d)).max() < 1e-14
 
 
+def _sorted_support(g):
+    return tuple(sorted((g.target,) + tuple(w for w, _ in g.controls)))
+
+
 def _transfer_oracle(g, width, p1):
     # Transfer matrix of gate + twirl from its definition, Tr(P_i E(P_j)),
     # on the full register: P_j is a Gell-Mann product on the gate's sorted
     # support and the identity elsewhere, U is the full-width gate.
-    support = tuple(sorted((g.target,) + tuple(w for w, _ in g.controls)))
+    support = _sorted_support(g)
     k = len(support)
     basis = []
     for idx in product(range(9), repeat=k):
@@ -387,17 +391,26 @@ def _transfer_oracle(g, width, p1):
 
 
 def test_cached_transfers_match_per_gate_build():
+    # Each op is the ordered product of its run's per-gate maps, each
+    # promoted onto the run's wires; a run takes every next gate whose
+    # support lies on its wires.
     layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
     lowered = lower_circuit(layer)
     assert lowered.width == 3
     p1 = 0.003
-    got = _gate_transfers(lowered, p1)
-    assert len(got) == len(lowered.gates)
-    assert len({id(m) for _, m in got}) < len(got) / 4  # the cache is shared
-    for g, (support, m) in zip(lowered.gates, got):
-        want_support, want = _transfer_oracle(g, 3, p1)
-        assert support == want_support
+    ops = _gate_noise_ops(lowered, p1)
+    assert len({id(m) for _, m in ops}) < len(ops)  # equal runs share a matrix
+    gates = list(lowered.gates)
+    for axes, m in ops:
+        wires = tuple(a + 1 for a in axes)
+        want = np.eye(9 ** len(wires))
+        while gates and set(_sorted_support(gates[0])) <= set(wires):
+            support, t = _transfer_oracle(gates.pop(0), 3, p1)
+            if support != wires:
+                t = np.kron(t, np.eye(9)) if support[0] == wires[0] else np.kron(np.eye(9), t)
+            want = t @ want
         assert np.abs(m - want).max() < 1e-13
+    assert not gates
 
 
 def test_density_budget_checked_before_lowering(monkeypatch):
@@ -418,19 +431,30 @@ def test_density_budget_checked_before_lowering(monkeypatch):
 
 
 def test_gate_noise_ops_count_against_the_budget(monkeypatch):
-    # Dihedral-27 lowers to 559 fused 81 x 81 ops, 29 MB, next to a 0.9 MB
-    # density; a 2 MB budget admits the density but not the op list.
+    # Dihedral-27 lowers to 559 fused 81 x 81 ops on 81 distinct matrices,
+    # 4.25 MB, next to a 0.9 MB density; a 2 MB budget admits the density
+    # but not the matrices, and the refusal comes before any is built.
     layer = build_layer_dihedral(27, CoinSpec("xclass", theta=np.pi))
     rho = np.zeros((3**5, 3**5))
     rho[0, 0] = 1
-    budget = 2 * 10**6
-    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", budget)
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 2 * 10**6)
+
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("built a transfer matrix before the budget check")
+
+    monkeypatch.setattr(tritwalk.noise, "_superop", no_build)
     noise = NoiseConfig(gate_noise_enabled=True, p1=1e-4)
-    with pytest.raises(ValueError, match="5 wires and its gate-noise step ops") as err:
+    size = 16 * 9**5 + 81 * 8 * 81**2  # 5,196,312 bytes
+    with pytest.raises(ValueError, match=f"5 wires and its gate-noise step ops take {size} bytes"):
         next(simulate_noisy_walk(layer, 5, rho, 1, noise))
-    # The build stops at the op that passes the budget, not after the list.
-    size = int(str(err.value).split("at least ")[1].split(" bytes")[0])
-    assert budget < size <= budget + 8 * 81**2
+
+
+def test_dihedral_27_ops_share_81_matrices():
+    lowered = lower_circuit(build_layer_dihedral(27, CoinSpec("xclass", theta=np.pi)))
+    ops = _gate_noise_ops(lowered, 1e-4)
+    assert len(ops) == 559
+    assert len({id(m) for _, m in ops}) == 81
+    assert {m.shape for _, m in ops} == {(81, 81)}
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 
 from tritwalk.circuit import (
     Circuit,
+    add_control,
     apply_state,
     circuit_unitary,
     count_gates,
-    custom,
     embed_gate,
     phase,
     rotation,
     xgate,
 )
 from tritwalk.gates import AXES, X_KINDS, frobenius_distance
+from tritwalk.su3 import decompose_u3, params_to_circuit, su3_factors
 from tritwalk.toffoli import (
+    _mc_rotation,
     compile_mc_x_target_first,
     compile_mc_x_target_last,
     lower_circuit,
@@ -173,7 +175,7 @@ def test_lower_circuit_random_mixed():
 @given(
     seed=st.integers(0, 2**32 - 1),
     shape=st.sampled_from(((3, 2), (4, 2), (4, 3))),
-    kind=st.sampled_from(("rotation", "xgate", "phase", "custom")),
+    kind=st.sampled_from(("rotation", "xgate", "phase")),
 )
 def test_lowered_multi_controlled_gate_matches_on_basis_states(seed, shape, kind):
     # On every basis state where all controls match (one per target level)
@@ -186,10 +188,8 @@ def test_lowered_multi_controlled_gate_matches_on_basis_states(seed, shape, kind
         g = rotation(AXES[rng.integers(len(AXES))], rng.uniform(-np.pi, np.pi), target, controls)
     elif kind == "xgate":
         g = xgate(X_KINDS[rng.integers(len(X_KINDS))], target, controls)
-    elif kind == "phase":
-        g = phase(rng.uniform(-np.pi, np.pi), target, controls)
     else:
-        g = custom(random_unitary(rng), target, controls)
+        g = phase(rng.uniform(-np.pi, np.pi), target, controls)
     c = Circuit(width, (g,))
     low = lower_circuit(c)
     assert count_gates(low).multi_controlled == 0
@@ -206,16 +206,41 @@ def test_lowered_multi_controlled_gate_matches_on_basis_states(seed, shape, kind
         assert np.abs(apply_state(low, e) - apply_state(c, e)).max() < 1e-9
 
 
-def test_lower_circuit_custom_with_phase():
-    # A controlled custom unitary with non-unit determinant exercises the
+def _controlled_unitary_gates(u, target, controls):
+    # An arbitrary unitary as a circuit: its global phase, then the nine
+    # rotations of its SU(3) factor, every gate carrying the controls.
+    d = decompose_u3(u)
+    gates = [phase(d.alpha, target), *params_to_circuit(d.su3, target).gates]
+    for w, v in controls:
+        gates = add_control(gates, w, v)
+    return d, tuple(gates)
+
+
+def test_lower_circuit_decomposed_unitary_with_phase():
+    # A doubly-controlled unitary with non-unit determinant exercises the
     # controlled-phase route.
     rng = np.random.default_rng(67)
     u = random_unitary(rng)
-    g = custom(u, 3, controls=((1, 2), (2, 0)))
-    c = Circuit(3, (g,))
-    low = lower_circuit(c)
+    assert abs(np.linalg.det(u) - 1) > 0.1
+    _, gates = _controlled_unitary_gates(u, 3, ((1, 2), (2, 0)))
+    low = lower_circuit(Circuit(3, gates))
     assert count_gates(low).multi_controlled == 0
-    assert frobenius_distance(circuit_unitary(low), circuit_unitary(c)) < 1e-9
+    want = np.eye(27, dtype=complex)
+    want[18:21, 18:21] = u  # wire 1 = 2, wire 2 = 0: the seventh 3x3 block
+    assert frobenius_distance(circuit_unitary(low), want) < 1e-9
+
+
+def test_lowered_controlled_unitary_is_phase_ladder_then_rotation_ladders():
+    # Gate for gate, the controlled phase of the determinant followed by one
+    # one-hot ladder per SU(3) rotation, in the factorization's order.
+    rng = np.random.default_rng(5)
+    for controls in (((1, 2), (2, 0)), ((1, 1), (3, 2)), ((2, 0), (3, 1), (4, 2))):
+        target = min({1, 2, 3, 4} - {w for w, _ in controls})
+        d, gates = _controlled_unitary_gates(random_unitary(rng), target, controls)
+        want = mc_phase_gates(d.alpha, controls)
+        for axis, angle in su3_factors(d.su3):
+            want += _mc_rotation(axis, angle, controls, target)
+        assert lower_circuit(Circuit(4, gates)).gates == tuple(want)
 
 
 def test_lower_circuit_mc_phase():
