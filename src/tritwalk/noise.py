@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, Iterator
@@ -189,15 +190,21 @@ def idle_wires(circuit: Circuit, scope: str) -> tuple[int, ...]:
 # the bra axes, and each one-wire idle channel is a 9 x 9 superoperator
 # indexed (ket, bra).  With gate noise the density is instead one real
 # (9,)*width tensor of coefficients in the per-wire orthonormal Gell-Mann
-# basis (Bertlmann & Krammer, arXiv:0806.1174), in wire order, and a run of
-# gates on at most two wires, each with its depolarizing twirl, or an idle
-# channel is one real 9^k x 9^k transfer matrix.  Only this path pairs each
-# wire's ket and bra axes.
+# basis (Bertlmann & Krammer, arXiv:0806.1174), in wire order.  The layer is
+# lowered one gate at a time, each lowered gate joining the current run on
+# at most two wires as it is produced, so no lowered layer is held; a run,
+# each gate with its depolarizing twirl, or an idle channel is one real
+# 9^k x 9^k transfer matrix.  Only this path pairs each wire's ket and bra
+# axes.
 
 # Budget for one complex density, 16 * 9^width bytes, plus with gate noise
-# 8 * 81^k bytes for each distinct run matrix on k wires: on a padded
-# dihedral layer those matrices, not the density, are what fills memory.
+# 8 * 81^k bytes for each distinct run matrix on k wires and _OP_BYTES for
+# each entry of the op list: on a padded dihedral layer those, not the
+# density, are what fills memory.
 DENSITY_BUDGET_BYTES = 2**30
+# One op list entry beside its matrix: the pair, an axes tuple of at most
+# two wires and the list slot.
+_OP_BYTES = 2 * sys.getsizeof((0, 0)) + 8
 
 
 def _gell_mann() -> np.ndarray:
@@ -291,49 +298,59 @@ def _promote_superop(m: np.ndarray, axes: tuple[int, ...], to: tuple[int, ...]) 
     return np.kron(m, np.eye(9)) if axes[0] == to[0] else np.kron(np.eye(9), m)
 
 
-def _relabel(g: Gate, support: tuple[int, ...]) -> Gate:
-    """The gate moved onto wires 1..k of a sorted support, their order kept."""
-    local = {w: i + 1 for i, w in enumerate(support)}
-    return replace(g, target=local[g.target], controls=tuple((local[w], v) for w, v in g.controls))
+def _lowered_runs(layer: Circuit) -> Iterator[tuple[set[int], list]]:
+    """Maximal runs of the lowered layer on at most two wires, in order.
 
-
-def _gate_noise_ops(circuit: Circuit, p1: float) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """(0-based axes, transfer matrix) of every gate plus its twirl, fused.
-
-    Gates are planned into maximal runs on at most two wires from their
-    supports alone, and runs equal once relabelled onto wires 1..k share one
-    matrix.  The budget counts every distinct matrix before any is built;
-    each is then built once, fusing its gates' noisy maps in order.
+    Each layer gate is lowered on its own, and each lowered gate joins the
+    current run as (its sorted support, its fields with the target and
+    controls relabelled onto wires 1..k of that support).
     """
-    runs: list[tuple[set[int], list[Gate]]] = []
-    for g in circuit.gates:
-        wires = set(_support(g))
-        if runs and len(runs[-1][0] | wires) <= 2:
-            runs[-1][0].update(wires)
-            runs[-1][1].append(g)
-        else:
-            runs.append((wires, [g]))
-    # Distinct (k, relabelled run) -> index into the matrices built below.
-    table: dict[tuple[int, tuple[Gate, ...]], int] = {}
+    wires: set[int] = set()
+    run: list[tuple[tuple[int, ...], tuple]] = []
+    for layer_gate in layer.gates:
+        for g in lower_circuit(Circuit(layer.width, (layer_gate,))).gates:
+            support = _support(g)
+            if run and len(wires.union(support)) > 2:
+                yield wires, run
+                wires, run = set(), []
+            wires.update(support)
+            local = {w: i + 1 for i, w in enumerate(support)}
+            controls = tuple((local[w], v) for w, v in g.controls)
+            run.append((support, (g.kind, local[g.target], g.axis, g.angle, g.xkind, controls)))
+    if run:
+        yield wires, run
+
+
+def _gate_noise_ops(layer: Circuit, p1: float) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(0-based axes, transfer matrix) of every lowered gate plus its twirl, fused.
+
+    One pass lowers the layer gate by gate into maximal runs on at most two
+    wires.  A run is keyed by each gate's relabelled fields and its place
+    among the run's wires, so runs equal up to their wires share one matrix.
+    The budget counts the op list and every distinct matrix before any is
+    built; each is then built once, fusing its gates' noisy maps in order.
+    """
+    # Distinct (k, ((place, fields), ...)) -> index into the matrices built below.
+    table: dict[tuple[int, tuple], int] = {}
     placed = []
-    for wires, gates in runs:
-        support = tuple(sorted(wires))
-        key = (len(support), tuple(_relabel(g, support) for g in gates))
+    for wires, run in _lowered_runs(layer):
+        support = sorted(wires)
+        place = {w: i for i, w in enumerate(support)}
+        key = (len(support), tuple((tuple(place[w] for w in on), fields) for on, fields in run))
         placed.append((tuple(w - 1 for w in support), table.setdefault(key, len(table))))
-    check_density_budget(circuit.width, sum(8 * 81**k for k, _ in table))
+    check_density_budget(layer.width, sum(8 * 81**k for k, _ in table) + len(placed) * _OP_BYTES)
 
     twirls = {k: _twirl_diagonal(k, p1) for k in (1, 2)}
-    transfers: dict[Gate, np.ndarray] = {}
+    transfers: dict[tuple, np.ndarray] = {}
     matrices = []
     for _, run in table:
         axes: tuple[int, ...] = ()
-        for g in run:
-            support = _support(g)
-            local = _relabel(g, support)
-            if local not in transfers:
+        for support, fields in run:
+            if fields not in transfers:
                 k = len(support)
-                transfers[local] = twirls[k][:, None] * _superop((embed_gate(k, local),), k, real=True)
-            m = transfers[local]
+                u = embed_gate(k, Gate(*fields))
+                transfers[fields] = twirls[k][:, None] * _superop((u,), k, real=True)
+            m = transfers[fields]
             if axes:
                 union = tuple(sorted(set(axes) | set(support)))
                 m = _promote_superop(m, support, union) @ _promote_superop(fused, axes, union)
@@ -352,10 +369,11 @@ def simulate_noisy_walk(
 ) -> Iterator[np.ndarray]:
     """Yield the density matrix after each of `steps` walk layers.
 
-    With gate noise enabled the layer is lowered to elementary gates and
-    a depolarizing channel of matching arity follows every gate; without
-    it the layer acts as one dense unitary. Idle damping is applied once
-    per step, after the layer, to untouched wires or to all of them.
+    With gate noise enabled the layer is lowered to elementary gates, one
+    layer gate at a time, and a depolarizing channel of matching arity
+    follows every lowered gate; without it the layer acts as one dense
+    unitary. Idle damping is applied once per step, after the layer, to
+    untouched wires or to all of them.
     """
     check_density_budget(width)
     if layer.width != width:
@@ -373,13 +391,12 @@ def simulate_noisy_walk(
 
     cfg = resolve_noise(noise)
     real = cfg.gate_noise_enabled
-    circuit = lower_circuit(layer) if real else layer
 
     # (0-based tensor axes, matrix) in the order they act within one step.
     if real:
-        ops = _gate_noise_ops(circuit, cfg.p1)
+        ops = _gate_noise_ops(layer, cfg.p1)
     else:
-        u = circuit_unitary(circuit)
+        u = circuit_unitary(layer)
         ops = [(tuple(range(width)), u), (tuple(range(width, 2 * width)), u.conj())]
 
     if cfg.idle_kind != "none":
@@ -388,7 +405,14 @@ def simulate_noisy_walk(
         else:
             idle = phase_damping_channel(cfg.r1, cfg.t_idle)
         m = _superop(idle.operators, 1, real)
-        for w in idle_wires(circuit, cfg.idle_scope):
+        if real and cfg.idle_scope == "untouched":
+            # Lowering can leave a layer gate's wire untouched, so read the
+            # lowered gates' wires off the op axes.
+            busy = {a for axes, _ in ops for a in axes}
+            wires = tuple(w for w in range(1, width + 1) if w - 1 not in busy)
+        else:
+            wires = idle_wires(layer, cfg.idle_scope)
+        for w in wires:
             ops.append(((w - 1,) if real else (w - 1, width + w - 1), m))
 
     t = _to_gell_mann(rho0, width) if real else rho0.reshape((3,) * (2 * width))

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,23 @@ def test_walk_csv_shape_and_conservation(tmp_path, capsys):
         assert len(block) == 3
         total = sum(r[2] for r in block) + block[0][3]
         assert abs(total - 1) < 1e-9
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_outputs_get_the_mode_open_would_give(tmp_path, capsys, umask):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(TINY_CYCLE)
+    old = os.umask(umask)
+    try:
+        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        walk = str(tmp_path / "walk.csv")
+        assert main(["compare", walk, walk, "--out", str(tmp_path)]) == 0
+        assert main(["count", "--graph", "cycle", "--n-max", "1", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    for name in ("walk.csv", "compare.csv", "count.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
 
 
 def test_walk_deterministic_modulo_timestamp(tmp_path, capsys):

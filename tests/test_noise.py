@@ -235,6 +235,22 @@ def test_idle_scope_untouched_skips_busy_wires():
     assert np.linalg.norm(a - b) > 1e-3
 
 
+def test_gate_noise_idles_wires_that_lowering_leaves_untouched():
+    # A doubly-controlled phase lowers onto its control wires alone, so
+    # under gate noise its target wire idles.
+    from tritwalk.circuit import Circuit, phase
+
+    layer = Circuit(3, (phase(0.7, 3, ((1, 2), (2, 1))),))
+    assert {w for g in lower_circuit(layer).gates for w in _sorted_support(g)} == {1, 2}
+    rho = random_density(np.random.default_rng(5), 27)
+    noise = NoiseConfig(gate_noise_enabled=True, p1=0.01, idle_kind="amplitude", r1=0.3, r2=0.2)
+    got = next(simulate_noisy_walk(layer, 3, rho, 1, noise))
+    gates_only = NoiseConfig(gate_noise_enabled=True, p1=0.01)
+    want = next(simulate_noisy_walk(layer, 3, rho, 1, gates_only))
+    want = apply_channel(want, amplitude_damping_channel(0.3, 0.2, 1.0), (3,))
+    assert np.linalg.norm(got - want) < 1e-12
+
+
 def test_gate_noise_on_random_unitary_layer_matches_channel_oracle():
     # One uncontrolled random rotation: per-gate twirl equals gate
     # conjugation followed by a k=1 depolarizing channel.
@@ -398,7 +414,7 @@ def test_cached_transfers_match_per_gate_build():
     lowered = lower_circuit(layer)
     assert lowered.width == 3
     p1 = 0.003
-    ops = _gate_noise_ops(lowered, p1)
+    ops = _gate_noise_ops(layer, p1)
     assert len({id(m) for _, m in ops}) < len(ops)  # equal runs share a matrix
     gates = list(lowered.gates)
     for axes, m in ops:
@@ -433,7 +449,8 @@ def test_density_budget_checked_before_lowering(monkeypatch):
 def test_gate_noise_ops_count_against_the_budget(monkeypatch):
     # Dihedral-27 lowers to 559 fused 81 x 81 ops on 81 distinct matrices,
     # 4.25 MB, next to a 0.9 MB density; a 2 MB budget admits the density
-    # but not the matrices, and the refusal comes before any is built.
+    # but not the matrices, and the refusal comes before any is built.  Each
+    # op list entry adds its pair, its axes tuple and its list slot, 120 B.
     layer = build_layer_dihedral(27, CoinSpec("xclass", theta=np.pi))
     rho = np.zeros((3**5, 3**5))
     rho[0, 0] = 1
@@ -444,16 +461,29 @@ def test_gate_noise_ops_count_against_the_budget(monkeypatch):
 
     monkeypatch.setattr(tritwalk.noise, "_superop", no_build)
     noise = NoiseConfig(gate_noise_enabled=True, p1=1e-4)
-    size = 16 * 9**5 + 81 * 8 * 81**2  # 5,196,312 bytes
+    size = 16 * 9**5 + 81 * 8 * 81**2 + 559 * 120  # 5,263,392 bytes
     with pytest.raises(ValueError, match=f"5 wires and its gate-noise step ops take {size} bytes"):
         next(simulate_noisy_walk(layer, 5, rho, 1, noise))
 
 
-def test_dihedral_27_ops_share_81_matrices():
-    lowered = lower_circuit(build_layer_dihedral(27, CoinSpec("xclass", theta=np.pi)))
-    ops = _gate_noise_ops(lowered, 1e-4)
-    assert len(ops) == 559
-    assert len({id(m) for _, m in ops}) == 81
+@pytest.mark.parametrize(
+    "graph, n, n_ops, n_matrices",
+    [
+        ("dihedral", 5, 1531, 116),
+        ("cycle", 4, 863, 111),
+        ("dihedral", 10, 25859, 200),
+        ("dihedral", 27, 559, 81),
+    ],
+    ids=["dihedral-5", "cycle-4-a2", "dihedral-10", "dihedral-27"],
+)
+def test_fused_ops_share_matrices(graph, n, n_ops, n_matrices):
+    # Padded layers (N not a power of 3) lower to many more gates, but their
+    # runs still repeat; the cycle layer has liveliness a = 2.
+    coin = CoinSpec("xclass", theta=np.pi)
+    layer = build_layer_dihedral(n, coin) if graph == "dihedral" else build_layer_cycle(n, coin, 2)
+    ops = _gate_noise_ops(layer, 1e-4)
+    assert len(ops) == n_ops
+    assert len({id(m) for _, m in ops}) == n_matrices
     assert {m.shape for _, m in ops} == {(81, 81)}
 
 
