@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -20,7 +20,6 @@ from .noise import (
     NoiseConfig,
     check_density_budget,
     clamped_p1,
-    idle_wires,
     resolve_noise,
     simulate_noisy_walk,
 )
@@ -64,20 +63,14 @@ def _emit(text: str, out_dir: str | None, name: str) -> None:
         return
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tritwalk-")
+    tmp = os.path.join(out_dir, f".tritwalk-{os.getpid()}-{name}")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "w") as fh:
             fh.write(text)
-        # mkstemp creates the file owner-only; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
     print(path)
 
@@ -111,15 +104,15 @@ def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribut
     noisy = resolved.gate_noise_enabled or resolved.idle_kind != "none"
     if noisy:
         check_density_budget(g.circuit_width)
-    if g.kind == "dihedral":
-        layer = build_layer_dihedral(g.N, cfg.coin)
-    else:
-        layer = build_layer_cycle(g.N, cfg.coin, g.liveliness)
-    if resolved.idle_kind != "none" and not idle_wires(layer, resolved.idle_scope):
+    if resolved.idle_kind != "none" and resolved.idle_scope == "untouched":
         raise ValueError(
             "idle noise acts on no wire: walk layers keep every wire busy, "
             "so set idle_scope = all"
         )
+    if g.kind == "dihedral":
+        layer = build_layer_dihedral(g.N, cfg.coin)
+    else:
+        layer = build_layer_cycle(g.N, cfg.coin, g.liveliness)
     psi = build_initial_state(cfg)
     dists = [vertex_distribution(psi, g)]
     if not noisy:

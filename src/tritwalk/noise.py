@@ -175,35 +175,31 @@ def _support(g: Gate) -> tuple[int, ...]:
     return tuple(sorted((g.target,) + tuple(w for w, _ in g.controls)))
 
 
-def idle_wires(circuit: Circuit, scope: str) -> tuple[int, ...]:
-    """Wires that idle damping acts on: every wire, or those no gate touches."""
-    if scope == "all":
-        return tuple(range(1, circuit.width + 1))
-    touched = {w for g in circuit.gates for w in _support(g)}
-    return tuple(w for w in range(1, circuit.width + 1) if w not in touched)
+def _relabelled(g: Gate, support: tuple[int, ...]) -> tuple:
+    """Fields of g with its target and controls relabelled onto wires 1..k of support."""
+    local = {w: i + 1 for i, w in enumerate(support)}
+    controls = tuple((local[w], v) for w, v in g.controls)
+    return (g.kind, local[g.target], g.axis, g.angle, g.xkind, controls)
 
 
 # A step is one list of (tensor axes, matrix) ops, each contracted into the
 # density with apply_local.  Without gate noise the density is one complex
-# (3,)*2*width tensor holding the ket trits of every wire, then the bra
-# trits; the layer's dense unitary acts on the ket axes and its conjugate on
-# the bra axes, and each one-wire idle channel is a 9 x 9 superoperator
-# indexed (ket, bra).  With gate noise the density is instead one real
-# (9,)*width tensor of coefficients in the per-wire orthonormal Gell-Mann
-# basis (Bertlmann & Krammer, arXiv:0806.1174), in wire order.  The layer is
-# lowered one gate at a time, each lowered gate joining the current run on
-# at most two wires as it is produced, so no lowered layer is held; a run,
-# each gate with its depolarizing twirl, or an idle channel is one real
-# 9^k x 9^k transfer matrix.  Only this path pairs each wire's ket and bra
-# axes.
+# (3,)*2*width tensor, the ket trits of every wire then the bra trits; the
+# layer's unitary on the k wires its gates touch acts on their ket axes, its
+# conjugate on their bra axes, and a one-wire idle channel is a 9 x 9
+# superoperator indexed (ket, bra).  With gate noise the density is a real
+# (9,)*width tensor in the per-wire orthonormal Gell-Mann basis (Bertlmann
+# & Krammer, arXiv:0806.1174); the layer is lowered gate by gate into runs
+# on at most two wires, and a run, each gate with its twirl, or an idle
+# channel is one real 9^k x 9^k transfer matrix.  On both paths axis a is
+# wire a % width + 1; untouched-scope idle noise takes the wires no op reaches.
 
-# Budget for one complex density, 16 * 9^width bytes, plus with gate noise
-# 8 * 81^k bytes for each distinct run matrix on k wires and _OP_BYTES for
-# each entry of the op list: on a padded dihedral layer those, not the
-# density, are what fills memory.
+# Budget for one complex density, 16 * 9^width bytes, the layer's op list
+# (_OP_BYTES an entry: its pair, a two-wire axes tuple, its list slot) and
+# its distinct matrices: 2 * 16 * 9^k bytes for the unitary on k wires and
+# its conjugate, or 8 * 81^k per gate-noise run on k wires.  Idle channels
+# and the transients of building a matrix are not counted.
 DENSITY_BUDGET_BYTES = 2**30
-# One op list entry beside its matrix: the pair, an axes tuple of at most
-# two wires and the list slot.
 _OP_BYTES = 2 * sys.getsizeof((0, 0)) + 8
 
 
@@ -231,11 +227,10 @@ def check_density_budget(width: int, ops_bytes: int = 0) -> None:
     """Refuse a complex density plus ops_bytes of step ops over DENSITY_BUDGET_BYTES."""
     size = 16 * 9**width + ops_bytes
     if size > DENSITY_BUDGET_BYTES:
-        if ops_bytes:
-            what = f"a density on {width} wires and its gate-noise step ops take"
-        else:
-            what = f"a density on {width} wires takes"
-        raise ValueError(f"{what} {size} bytes, over the {DENSITY_BUDGET_BYTES}-byte budget")
+        raise ValueError(
+            f"a density run on {width} wires takes {size} bytes, "
+            f"over the {DENSITY_BUDGET_BYTES}-byte budget"
+        )
 
 
 def _pairing(n: int) -> list[int]:
@@ -302,8 +297,7 @@ def _lowered_runs(layer: Circuit) -> Iterator[tuple[set[int], list]]:
     """Maximal runs of the lowered layer on at most two wires, in order.
 
     Each layer gate is lowered on its own, and each lowered gate joins the
-    current run as (its sorted support, its fields with the target and
-    controls relabelled onto wires 1..k of that support).
+    current run as (its sorted support, its relabelled fields).
     """
     wires: set[int] = set()
     run: list[tuple[tuple[int, ...], tuple]] = []
@@ -314,21 +308,17 @@ def _lowered_runs(layer: Circuit) -> Iterator[tuple[set[int], list]]:
                 yield wires, run
                 wires, run = set(), []
             wires.update(support)
-            local = {w: i + 1 for i, w in enumerate(support)}
-            controls = tuple((local[w], v) for w, v in g.controls)
-            run.append((support, (g.kind, local[g.target], g.axis, g.angle, g.xkind, controls)))
+            run.append((support, _relabelled(g, support)))
     if run:
         yield wires, run
 
 
-def _gate_noise_ops(layer: Circuit, p1: float) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """(0-based axes, transfer matrix) of every lowered gate plus its twirl, fused.
+def _gate_noise_plan(layer: Circuit, p1: float) -> tuple:
+    """Fused runs of every lowered gate plus its twirl, on the Gell-Mann axes.
 
-    One pass lowers the layer gate by gate into maximal runs on at most two
-    wires.  A run is keyed by each gate's relabelled fields and its place
-    among the run's wires, so runs equal up to their wires share one matrix.
-    The budget counts the op list and every distinct matrix before any is
-    built; each is then built once, fusing its gates' noisy maps in order.
+    A run is keyed by each gate's relabelled fields and its place among the
+    run's wires, so runs equal up to their wires share one matrix, built
+    once by fusing its gates' noisy maps in order.
     """
     # Distinct (k, ((place, fields), ...)) -> index into the matrices built below.
     table: dict[tuple[int, tuple], int] = {}
@@ -338,26 +328,56 @@ def _gate_noise_ops(layer: Circuit, p1: float) -> list[tuple[tuple[int, ...], np
         place = {w: i for i, w in enumerate(support)}
         key = (len(support), tuple((tuple(place[w] for w in on), fields) for on, fields in run))
         placed.append((tuple(w - 1 for w in support), table.setdefault(key, len(table))))
-    check_density_budget(layer.width, sum(8 * 81**k for k, _ in table) + len(placed) * _OP_BYTES)
 
-    twirls = {k: _twirl_diagonal(k, p1) for k in (1, 2)}
-    transfers: dict[tuple, np.ndarray] = {}
-    matrices = []
-    for _, run in table:
-        axes: tuple[int, ...] = ()
-        for support, fields in run:
-            if fields not in transfers:
-                k = len(support)
-                u = embed_gate(k, Gate(*fields))
-                transfers[fields] = twirls[k][:, None] * _superop((u,), k, real=True)
-            m = transfers[fields]
-            if axes:
-                union = tuple(sorted(set(axes) | set(support)))
-                m = _promote_superop(m, support, union) @ _promote_superop(fused, axes, union)
-                support = union
-            axes, fused = support, m
-        matrices.append(fused)
-    return [(axes, matrices[i]) for axes, i in placed]
+    def build() -> list[np.ndarray]:
+        twirls = {k: _twirl_diagonal(k, p1) for k in (1, 2)}
+        transfers: dict[tuple, np.ndarray] = {}
+        matrices = []
+        for _, run in table:
+            axes: tuple[int, ...] = ()
+            for support, fields in run:
+                if fields not in transfers:
+                    k = len(support)
+                    u = embed_gate(k, Gate(*fields))
+                    transfers[fields] = twirls[k][:, None] * _superop((u,), k, real=True)
+                m = transfers[fields]
+                if axes:
+                    union = tuple(sorted(set(axes) | set(support)))
+                    m = _promote_superop(m, support, union) @ _promote_superop(fused, axes, union)
+                    support = union
+                axes, fused = support, m
+            matrices.append(fused)
+        return matrices
+
+    return placed, sum(8 * 81**k for k, _ in table), build
+
+
+def _unitary_plan(layer: Circuit) -> tuple:
+    """The layer's unitary on the sorted support of its gates, relabelled onto wires 1..k."""
+    support = tuple(sorted({w for g in layer.gates for w in _support(g)}))
+    ket = tuple(w - 1 for w in support)
+    placed = [(ket, 0), (tuple(layer.width + a for a in ket), 1)] if support else []
+
+    def build() -> list[np.ndarray]:
+        local = tuple(Gate(*_relabelled(g, support)) for g in layer.gates)
+        u = circuit_unitary(Circuit(len(support), local))
+        return [u, u.conj()]
+
+    return placed, len(placed) * 16 * 9 ** len(support), build
+
+
+def _layer_ops(layer: Circuit, p1: float | None) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(0-based axes, matrix) of the layer's step ops, with gate noise p1 or none.
+
+    A plan is the op list with matrix indices, the distinct matrices' bytes
+    and their builder; the budget is checked before any matrix is built.
+    """
+    placed, size, build = _unitary_plan(layer) if p1 is None else _gate_noise_plan(layer, p1)
+    check_density_budget(layer.width, size + len(placed) * _OP_BYTES)
+    matrices = build() if placed else []
+    for i, (axes, j) in enumerate(placed):
+        placed[i] = (axes, matrices[j])
+    return placed
 
 
 def simulate_noisy_walk(
@@ -371,9 +391,9 @@ def simulate_noisy_walk(
 
     With gate noise enabled the layer is lowered to elementary gates, one
     layer gate at a time, and a depolarizing channel of matching arity
-    follows every lowered gate; without it the layer acts as one dense
-    unitary. Idle damping is applied once per step, after the layer, to
-    untouched wires or to all of them.
+    follows every lowered gate; without it the layer acts as one unitary on
+    the wires its gates touch. Idle damping is applied once per step, after
+    the layer, to the wires no layer op reaches or to all of them.
     """
     check_density_budget(width)
     if layer.width != width:
@@ -384,36 +404,22 @@ def simulate_noisy_walk(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise ValueError("initial density has the wrong shape")
+    cfg = resolve_noise(noise)
+    real = cfg.gate_noise_enabled
+    # Refuse over-budget ops before the checks below copy the density.
+    ops = _layer_ops(layer, cfg.p1 if real else None)
     if np.linalg.norm(rho0 - rho0.conj().T) > 1e-10:
         raise ValueError("initial density must be Hermitian")
     if abs(np.trace(rho0) - 1) > 1e-9:
         raise ValueError("initial density must have unit trace")
-
-    cfg = resolve_noise(noise)
-    real = cfg.gate_noise_enabled
-
-    # (0-based tensor axes, matrix) in the order they act within one step.
-    if real:
-        ops = _gate_noise_ops(layer, cfg.p1)
-    else:
-        u = circuit_unitary(layer)
-        ops = [(tuple(range(width)), u), (tuple(range(width, 2 * width)), u.conj())]
-
     if cfg.idle_kind != "none":
         if cfg.idle_kind == "amplitude":
             idle = amplitude_damping_channel(cfg.r1, cfg.r2, cfg.t_idle)
         else:
             idle = phase_damping_channel(cfg.r1, cfg.t_idle)
         m = _superop(idle.operators, 1, real)
-        if real and cfg.idle_scope == "untouched":
-            # Lowering can leave a layer gate's wire untouched, so read the
-            # lowered gates' wires off the op axes.
-            busy = {a for axes, _ in ops for a in axes}
-            wires = tuple(w for w in range(1, width + 1) if w - 1 not in busy)
-        else:
-            wires = idle_wires(layer, cfg.idle_scope)
-        for w in wires:
-            ops.append(((w - 1,) if real else (w - 1, width + w - 1), m))
+        busy = {a % width for axes, _ in ops for a in axes} if cfg.idle_scope == "untouched" else ()
+        ops += [((w,) if real else (w, width + w), m) for w in range(width) if w not in busy]
 
     t = _to_gell_mann(rho0, width) if real else rho0.reshape((3,) * (2 * width))
     for _ in range(steps):

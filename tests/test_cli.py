@@ -335,7 +335,8 @@ def test_walk_rejects_gate_noise_ops_over_budget(tmp_path, capsys, monkeypatch):
     argv = ["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", "gate"]
     assert main(argv + ["--epsilon", "4", "--seed", "1"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "gate-noise step ops" in err[0]
+    size = 16 * 9**5 + 81 * 8 * 81**2 + 559 * 120
+    assert len(err) == 1 and err[0].startswith("error:") and f"5 wires takes {size} bytes" in err[0]
     assert not (tmp_path / "walk.csv").exists()
 
 

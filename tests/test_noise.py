@@ -15,7 +15,7 @@ from tritwalk.noise import (
     NoiseConfig,
     _GELL_MANN,
     _from_gell_mann,
-    _gate_noise_ops,
+    _layer_ops,
     _superop,
     _to_gell_mann,
     _twirl_diagonal,
@@ -251,6 +251,78 @@ def test_gate_noise_idles_wires_that_lowering_leaves_untouched():
     assert np.linalg.norm(got - want) < 1e-12
 
 
+def _spy_unitary_widths(monkeypatch):
+    widths = []
+    real = tritwalk.noise.circuit_unitary
+
+    def spy(c):
+        widths.append(c.width)
+        return real(c)
+
+    monkeypatch.setattr(tritwalk.noise, "circuit_unitary", spy)
+    return widths
+
+
+def test_unitary_acts_on_the_wires_its_gates_touch(monkeypatch):
+    # Gates on wires 1-2 of three: the unitary is built on two wires, and
+    # untouched-scope damping acts on wire 3 alone.
+    from tritwalk.circuit import Circuit, rotation, xgate
+
+    layer = Circuit(3, (rotation("Y01", 0.9, 1), xgate("X+1", 2, ((1, 2),)), rotation("Z12", 0.4, 2)))
+    widths = _spy_unitary_widths(monkeypatch)
+    rho = random_density(np.random.default_rng(8), 27)
+    noise = NoiseConfig(idle_kind="amplitude", r1=0.3, r2=0.2)
+    got = next(simulate_noisy_walk(layer, 3, rho, 1, noise))
+    assert widths == [2]
+    u = embed_gate(3, layer.gates[2]) @ embed_gate(3, layer.gates[1]) @ embed_gate(3, layer.gates[0])
+    want = apply_channel(u @ rho @ u.conj().T, amplitude_damping_channel(0.3, 0.2, 1.0), (3,))
+    assert np.linalg.norm(got - want) < 1e-12
+
+
+def test_layer_without_gates_builds_no_unitary_and_idles_every_wire(monkeypatch):
+    from tritwalk.circuit import Circuit
+
+    widths = _spy_unitary_widths(monkeypatch)
+    rho = random_density(np.random.default_rng(9), 27)
+    got = next(simulate_noisy_walk(Circuit(3), 3, rho, 1, NoiseConfig(idle_kind="phase", r1=0.7)))
+    assert widths == []
+    want = rho
+    for w in (1, 2, 3):
+        want = apply_channel(want, phase_damping_channel(0.7, 1.0), (w,))
+    assert np.linalg.norm(got - want) < 1e-12
+
+
+def test_unitary_and_its_conjugate_count_against_the_budget(monkeypatch):
+    # Dihedral-3 has 3 wires, all touched: the density, the unitary and its
+    # conjugate, and two op list entries, refused before the unitary is built.
+    layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
+    rho = np.eye(27) / 27
+    widths = _spy_unitary_widths(monkeypatch)
+    noise = NoiseConfig(idle_kind="amplitude", r1=0.3, r2=0.2, idle_scope="all")
+    size = 16 * 9**3 + 32 * 9**3 + 2 * 120
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", size - 1)
+    with pytest.raises(ValueError, match=f"3 wires takes {size} bytes"):
+        next(simulate_noisy_walk(layer, 3, rho, 1, noise))
+    assert widths == []
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", size)
+    assert np.trace(next(simulate_noisy_walk(layer, 3, rho, 1, noise))).real == pytest.approx(1)
+    assert widths == [3]
+
+
+def test_width_8_walk_unitary_is_refused_before_it_is_built(monkeypatch):
+    # 16 * 9^8 + 2 * 16 * 9^8 + 2 * 120 = 2,066,242,848 bytes is over the
+    # 2^30-byte budget; width 7 needs 229,582,752 and gets to the build.
+    def no_build(_):
+        raise AssertionError("unitary built")
+
+    monkeypatch.setattr(tritwalk.noise, "circuit_unitary", no_build)
+    coin = CoinSpec("xclass", theta=np.pi)
+    with pytest.raises(ValueError, match="8 wires takes 2066242848 bytes"):
+        _layer_ops(build_layer_dihedral(729, coin), None)
+    with pytest.raises(AssertionError, match="unitary built"):
+        _layer_ops(build_layer_dihedral(243, coin), None)
+
+
 def test_gate_noise_on_random_unitary_layer_matches_channel_oracle():
     # One uncontrolled random rotation: per-gate twirl equals gate
     # conjugation followed by a k=1 depolarizing channel.
@@ -414,7 +486,7 @@ def test_cached_transfers_match_per_gate_build():
     lowered = lower_circuit(layer)
     assert lowered.width == 3
     p1 = 0.003
-    ops = _gate_noise_ops(layer, p1)
+    ops = _layer_ops(layer, p1)
     assert len({id(m) for _, m in ops}) < len(ops)  # equal runs share a matrix
     gates = list(lowered.gates)
     for axes, m in ops:
@@ -462,7 +534,7 @@ def test_gate_noise_ops_count_against_the_budget(monkeypatch):
     monkeypatch.setattr(tritwalk.noise, "_superop", no_build)
     noise = NoiseConfig(gate_noise_enabled=True, p1=1e-4)
     size = 16 * 9**5 + 81 * 8 * 81**2 + 559 * 120  # 5,263,392 bytes
-    with pytest.raises(ValueError, match=f"5 wires and its gate-noise step ops take {size} bytes"):
+    with pytest.raises(ValueError, match=f"5 wires takes {size} bytes"):
         next(simulate_noisy_walk(layer, 5, rho, 1, noise))
 
 
@@ -481,7 +553,7 @@ def test_fused_ops_share_matrices(graph, n, n_ops, n_matrices):
     # runs still repeat; the cycle layer has liveliness a = 2.
     coin = CoinSpec("xclass", theta=np.pi)
     layer = build_layer_dihedral(n, coin) if graph == "dihedral" else build_layer_cycle(n, coin, 2)
-    ops = _gate_noise_ops(layer, 1e-4)
+    ops = _layer_ops(layer, 1e-4)
     assert len(ops) == n_ops
     assert len({id(m) for _, m in ops}) == n_matrices
     assert {m.shape for _, m in ops} == {(81, 81)}

@@ -3,6 +3,7 @@ import pytest
 
 from tritwalk.circuit import apply_state, circuit_unitary, count_gates
 from tritwalk.gates import frobenius_distance, is_unitary
+from tritwalk.toffoli import lower_circuit
 from tritwalk.walk import (
     CoinSpec,
     WalkGraph,
@@ -263,3 +264,17 @@ def test_layer_gate_counts_stable():
     assert len(layer) == len(again)
     counts = count_gates(layer)
     assert counts.total == len(layer)
+
+
+@pytest.mark.parametrize(
+    "graph, n, a",
+    [("cycle", n, a) for a in (0, 2) for n in (3, 4, 10, 27)]
+    + [("dihedral", n, None) for n in (3, 5, 27)],
+)
+def test_walk_layers_touch_every_wire(graph, n, a):
+    # `tritwalk walk` refuses untouched-scope idle noise without looking at
+    # the layer, which holds while every wire is touched, lowered or not.
+    layer = build_layer_dihedral(n, GROVER) if graph == "dihedral" else build_layer_cycle(n, GROVER, a)
+    every = set(range(1, layer.width + 1))
+    for c in (layer, lower_circuit(layer)):
+        assert {w for g in c.gates for w in (g.target, *(u for u, _ in g.controls))} == every
