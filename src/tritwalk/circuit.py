@@ -7,7 +7,9 @@ optionally gated on other wires each holding a specific value in {0, 1, 2}
 unitary enters a circuit as ``phase`` plus ``params_to_circuit`` of
 ``decompose_u3``.  A :class:`Circuit` is an ordered gate list; the list order
 is temporal, so the first gate acts first and the dense unitary is the
-reversed matrix product.
+reversed matrix product.  ``compile_circuit`` turns a circuit into ops for
+``apply_op``: each maximal run of xgates is one basis permutation and
+each other run one unitary on the wires it touches.
 
 Gates are hashable values, and circuits are immutable once built.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +37,10 @@ __all__ = [
     "embed_gate",
     "circuit_unitary",
     "apply_state",
+    "split_runs",
+    "run_matrix",
+    "compile_circuit",
+    "apply_op",
     "inverse",
     "count_gates",
     "shift_gates",
@@ -209,6 +216,67 @@ def apply_state(c: Circuit, psi: np.ndarray) -> np.ndarray:
     for g in c.gates:
         t = _apply_gate(t, g)
     return t.reshape(dim)
+
+
+def _support(g: Gate) -> tuple[int, ...]:
+    return tuple(sorted((g.target,) + tuple(w for w, _ in g.controls)))
+
+
+def _relabelled(g: Gate, support: tuple[int, ...]) -> tuple:
+    """Fields of g with its target and controls relabelled onto wires 1..k of support."""
+    local = {w: i + 1 for i, w in enumerate(support)}
+    controls = tuple((local[w], v) for w, v in g.controls)
+    return (g.kind, local[g.target], g.axis, g.angle, g.xkind, controls)
+
+
+def split_runs(c: Circuit) -> list[tuple[tuple[int, ...], Circuit]]:
+    """Maximal runs of c's xgates and of its other gates, in order.
+
+    Each run is the 0-based axes of its sorted support and its gates
+    relabelled onto wires 1..k of that support.
+    """
+    runs = []
+    for _, group in groupby(c.gates, key=lambda g: g.kind == "xgate"):
+        gates = list(group)
+        support = tuple(sorted({w for g in gates for w in _support(g)}))
+        local = tuple(Gate(*_relabelled(g, support)) for g in gates)
+        runs.append((tuple(w - 1 for w in support), Circuit(len(support), local)))
+    return runs
+
+
+def run_matrix(run: Circuit, axes: Sequence[int], width: int) -> np.ndarray:
+    """The op of one run of split_runs within a register of width wires.
+
+    Any run but an xgate run is its unitary on its own wires.  An xgate run
+    permutes basis states: pushing the indices 0..3^k-1 through it gives p,
+    with U psi = psi[p] on its wires, and the result is p gathered along
+    ``axes`` of the whole register, so one flat gather applies the run.
+    """
+    if run.gates[0].kind != "xgate":
+        return circuit_unitary(run)
+    p = apply_state(run, np.arange(3**run.width)).real.astype(np.intp)
+    k = len(axes)
+    if k == width:
+        return p
+    t = np.moveaxis(np.arange(3**width).reshape((3,) * width), axes, range(k))
+    t = t.reshape(3**k, -1)[p].reshape(t.shape)
+    return np.moveaxis(t, range(k), axes).ravel()
+
+
+def compile_circuit(c: Circuit) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The (0-based axes, run_matrix) op of every run of c, for apply_op on a state."""
+    return [(axes, run_matrix(run, axes, c.width)) for axes, run in split_runs(c)]
+
+
+def apply_op(t: np.ndarray, op: tuple[Sequence[int], np.ndarray]) -> np.ndarray:
+    """Apply one (axes, matrix) op to a tensor.
+
+    A square matrix contracts into the axes with apply_local.  A 1-D matrix
+    is an index that gathers the whole flattened tensor, and its axes only
+    name the axes it permutes.
+    """
+    axes, m = op
+    return t.ravel()[m].reshape(t.shape) if m.ndim == 1 else apply_local(t, m, axes)
 
 
 def _invert_gate(g: Gate) -> Gate:

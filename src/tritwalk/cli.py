@@ -13,7 +13,9 @@ import numpy as np
 
 from .analysis import Distribution, kl_divergence, time_average, tvd, vertex_distribution
 from .blockdiag import blockdiag_synthesize
-from .circuit import apply_state, circuit_unitary, count_gates
+# apply_state is unused here but stays importable, because
+# perfbench/tracing.py patches it as a tritwalk.cli attribute.
+from .circuit import apply_op, apply_state, circuit_unitary, compile_circuit, count_gates  # noqa: F401
 from .config import ExperimentConfig, build_initial_state, complex_entries, load_config
 from .gates import frobenius_distance
 from .noise import (
@@ -116,9 +118,12 @@ def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribut
     psi = build_initial_state(cfg)
     dists = [vertex_distribution(psi, g)]
     if not noisy:
+        ops = compile_circuit(layer)
+        t = psi.reshape((3,) * layer.width)
         for _ in range(cfg.steps):
-            psi = apply_state(layer, psi)
-            dists.append(vertex_distribution(psi, g))
+            for op in ops:
+                t = apply_op(t, op)
+            dists.append(vertex_distribution(t.reshape(-1), g))
     else:
         rho = np.outer(psi, psi.conj())
         for rho_t in simulate_noisy_walk(layer, g.circuit_width, rho, cfg.steps, resolved):

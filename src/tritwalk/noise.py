@@ -9,7 +9,21 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circuit import Circuit, Gate, apply_local, circuit_unitary, embed_gate, register_width
+# circuit_unitary is unused here but stays importable, because
+# perfbench/tracing.py patches it as a tritwalk.noise attribute.
+from .circuit import (  # noqa: F401
+    Circuit,
+    Gate,
+    _relabelled,
+    _support,
+    apply_local,
+    apply_op,
+    circuit_unitary,
+    embed_gate,
+    register_width,
+    run_matrix,
+    split_runs,
+)
 from .gates import x_matrix
 from .toffoli import lower_circuit
 
@@ -171,22 +185,12 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
     return out.reshape(dim, dim)
 
 
-def _support(g: Gate) -> tuple[int, ...]:
-    return tuple(sorted((g.target,) + tuple(w for w, _ in g.controls)))
-
-
-def _relabelled(g: Gate, support: tuple[int, ...]) -> tuple:
-    """Fields of g with its target and controls relabelled onto wires 1..k of support."""
-    local = {w: i + 1 for i, w in enumerate(support)}
-    controls = tuple((local[w], v) for w, v in g.controls)
-    return (g.kind, local[g.target], g.axis, g.angle, g.xkind, controls)
-
-
-# A step is one list of (tensor axes, matrix) ops, each contracted into the
-# density with apply_local.  Without gate noise the density is one complex
-# (3,)*2*width tensor, the ket trits of every wire then the bra trits; the
-# layer's unitary on the k wires its gates touch acts on their ket axes, its
-# conjugate on their bra axes, and a one-wire idle channel is a 9 x 9
+# A step is one list of (tensor axes, matrix) ops, each applied by apply_op.
+# Without gate noise the density is one complex (3,)*2*width tensor, the ket
+# trits of every wire then the bra trits.  Each run of split_runs is one op
+# or two: a unitary on the k wires a run touches acts on their ket axes and
+# its conjugate on their bra axes, and an xgate run is a 1-D index that
+# gathers the flattened density; a one-wire idle channel is a 9 x 9
 # superoperator indexed (ket, bra).  With gate noise the density is a real
 # (9,)*width tensor in the per-wire orthonormal Gell-Mann basis (Bertlmann
 # & Krammer, arXiv:0806.1174); the layer is lowered gate by gate into runs
@@ -195,12 +199,18 @@ def _relabelled(g: Gate, support: tuple[int, ...]) -> tuple:
 # wire a % width + 1; untouched-scope idle noise takes the wires no op reaches.
 
 # Budget for one complex density, 16 * 9^width bytes, the layer's op list
-# (_OP_BYTES an entry: its pair, a two-wire axes tuple, its list slot) and
-# its distinct matrices: 2 * 16 * 9^k bytes for the unitary on k wires and
-# its conjugate, or 8 * 81^k per gate-noise run on k wires.  Idle channels
-# and the transients of building a matrix are not counted.
+# (_OP_BYTES an entry: its pair, an axes tuple of at most two axes, its list
+# slot, plus 8 bytes an axis beyond two) and its matrices.  Without gate
+# noise those are 2 * 16 * 9^k bytes for a unitary on k wires and its
+# conjugate, 8 * 9^width for each xgate run's gather index, and the
+# _STEP_COPIES density-sized arrays a step holds besides the density: the
+# caller's initial density, the previous step's output, and the input copy
+# and output of a contraction.  With gate noise they are 8 * 81^k bytes per
+# distinct run on k wires.  Idle channels and the transients of building a
+# matrix are not counted.
 DENSITY_BUDGET_BYTES = 2**30
 _OP_BYTES = 2 * sys.getsizeof((0, 0)) + 8
+_STEP_COPIES = 4
 
 
 def _gell_mann() -> np.ndarray:
@@ -352,28 +362,46 @@ def _gate_noise_plan(layer: Circuit, p1: float) -> tuple:
     return placed, sum(8 * 81**k for k, _ in table), build
 
 
-def _unitary_plan(layer: Circuit) -> tuple:
-    """The layer's unitary on the sorted support of its gates, relabelled onto wires 1..k."""
-    support = tuple(sorted({w for g in layer.gates for w in _support(g)}))
-    ket = tuple(w - 1 for w in support)
-    placed = [(ket, 0), (tuple(layer.width + a for a in ket), 1)] if support else []
+def _compiled_plan(layer: Circuit) -> tuple:
+    """The layer's runs (split_runs) as ops on the complex density.
+
+    A unitary run acts on its wires' ket axes and its conjugate on their bra
+    axes; an xgate run, with U psi = psi[P] on the register, is one gather
+    of the flattened density by the index of rho[P][:, P].
+    """
+    width = layer.width
+    runs = split_runs(layer)
+    placed = []
+    size = _STEP_COPIES * 16 * 9**width
+    for ket, run in runs:
+        bra = tuple(width + a for a in ket)
+        if run.gates[0].kind == "xgate":
+            placed.append((ket + bra, len(placed)))
+            size += 8 * 9**width
+        else:
+            placed += [(ket, len(placed)), (bra, len(placed) + 1)]
+            size += 2 * 16 * 9**run.width
 
     def build() -> list[np.ndarray]:
-        local = tuple(Gate(*_relabelled(g, support)) for g in layer.gates)
-        u = circuit_unitary(Circuit(len(support), local))
-        return [u, u.conj()]
+        matrices = []
+        for ket, run in runs:
+            m = run_matrix(run, ket, width)
+            matrices += [m, m.conj()] if m.ndim == 2 else [(m[:, None] * len(m) + m).ravel()]
+        return matrices
 
-    return placed, len(placed) * 16 * 9 ** len(support), build
+    return placed, size, build
 
 
 def _layer_ops(layer: Circuit, p1: float | None) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """(0-based axes, matrix) of the layer's step ops, with gate noise p1 or none.
 
-    A plan is the op list with matrix indices, the distinct matrices' bytes
-    and their builder; the budget is checked before any matrix is built.
+    A plan is the op list with matrix indices, the bytes of its matrices,
+    index arrays and working copies, and their builder; the budget is
+    checked before any matrix or index array is built.
     """
-    placed, size, build = _unitary_plan(layer) if p1 is None else _gate_noise_plan(layer, p1)
-    check_density_budget(layer.width, size + len(placed) * _OP_BYTES)
+    placed, size, build = _compiled_plan(layer) if p1 is None else _gate_noise_plan(layer, p1)
+    size += sum(_OP_BYTES + 8 * max(0, len(axes) - 2) for axes, _ in placed)
+    check_density_budget(layer.width, size)
     matrices = build() if placed else []
     for i, (axes, j) in enumerate(placed):
         placed[i] = (axes, matrices[j])
@@ -391,9 +419,10 @@ def simulate_noisy_walk(
 
     With gate noise enabled the layer is lowered to elementary gates, one
     layer gate at a time, and a depolarizing channel of matching arity
-    follows every lowered gate; without it the layer acts as one unitary on
-    the wires its gates touch. Idle damping is applied once per step, after
-    the layer, to the wires no layer op reaches or to all of them.
+    follows every lowered gate; without it each run of split_runs acts as
+    one unitary on the wires it touches or as one basis permutation. Idle
+    damping is applied once per step, after the layer, to the wires no layer
+    op reaches or to all of them.
     """
     check_density_budget(width)
     if layer.width != width:
@@ -423,6 +452,6 @@ def simulate_noisy_walk(
 
     t = _to_gell_mann(rho0, width) if real else rho0.reshape((3,) * (2 * width))
     for _ in range(steps):
-        for axes, m in ops:
-            t = apply_local(t, m, axes)
+        for op in ops:
+            t = apply_op(t, op)
         yield _from_gell_mann(t, width) if real else t.reshape(dim, dim).copy()

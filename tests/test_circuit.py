@@ -6,8 +6,10 @@ from tritwalk.circuit import (
     Circuit,
     Gate,
     GateCounts,
+    apply_op,
     apply_state,
     circuit_unitary,
+    compile_circuit,
     count_gates,
     embed_gate,
     gate_matrix,
@@ -15,6 +17,7 @@ from tritwalk.circuit import (
     phase,
     register_width,
     rotation,
+    split_runs,
     xgate,
 )
 from tritwalk.gates import frobenius_distance, is_unitary, x_matrix
@@ -118,6 +121,28 @@ def test_apply_state_matches_dense():
         psi = rng.normal(size=27) + 1j * rng.normal(size=27)
         psi /= np.linalg.norm(psi)
         assert np.linalg.norm(apply_state(c, psi) - circuit_unitary(c) @ psi) < 1e-10
+
+
+def test_compiled_circuit_matches_apply_state():
+    # Seeded random circuits of width <= 4 mixing rotations, xgates and
+    # phases with valued controls: runs alternate between xgates and the
+    # rest, and each xgate run is a gather index of the whole register.
+    rng = np.random.default_rng(23)
+    for width in (1, 2, 3, 4):
+        for _ in range(6):
+            c = random_circuit(rng, width, 14)
+            runs = split_runs(c)
+            kinds = [run.gates[0].kind == "xgate" for _, run in runs]
+            assert all(a != b for a, b in zip(kinds, kinds[1:]))
+            assert sum(len(run) for _, run in runs) == len(c)
+            ops = compile_circuit(c)
+            for (axes, m), is_x in zip(ops, kinds):
+                assert m.shape == ((3**width,) if is_x else (3 ** len(axes),) * 2)
+            psi = rng.normal(size=3**width) + 1j * rng.normal(size=3**width)
+            t = psi.reshape((3,) * width)
+            for op in ops:
+                t = apply_op(t, op)
+            assert np.abs(t.ravel() - apply_state(c, psi)).max() < 1e-12
 
 
 def test_apply_state_norm_and_dim_check():

@@ -365,7 +365,7 @@ def test_input_and_output_errors_are_one_line(tmp_path, capsys, monkeypatch, arg
     def no_step(*args):
         raise AssertionError("a walk step ran before the error")
 
-    monkeypatch.setattr(tritwalk.cli, "apply_state", no_step)
+    monkeypatch.setattr(tritwalk.cli, "apply_op", no_step)
     (tmp_path / "c.ini").write_text(TINY_CYCLE)
     (tmp_path / "taken").write_text("a file\n")
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1

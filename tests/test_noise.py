@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tritwalk.circuit
 import tritwalk.noise
-from tritwalk.circuit import apply_state, embed_gate
+from tritwalk.circuit import apply_state, circuit_unitary, embed_gate, split_runs
 from tritwalk.noise import (
     IDLE_KINDS,
     IDLE_SCOPES,
@@ -252,20 +253,23 @@ def test_gate_noise_idles_wires_that_lowering_leaves_untouched():
 
 
 def _spy_unitary_widths(monkeypatch):
-    widths = []
-    real = tritwalk.noise.circuit_unitary
+    # (kind, k) of every run matrix the density plan builds: a unitary or
+    # a basis permutation on k wires.
+    built = []
+    real = tritwalk.noise.run_matrix
 
-    def spy(c):
-        widths.append(c.width)
-        return real(c)
+    def spy(run, axes, width):
+        built.append(("permutation" if run.gates[0].kind == "xgate" else "unitary", run.width))
+        return real(run, axes, width)
 
-    monkeypatch.setattr(tritwalk.noise, "circuit_unitary", spy)
-    return widths
+    monkeypatch.setattr(tritwalk.noise, "run_matrix", spy)
+    return built
 
 
 def test_unitary_acts_on_the_wires_its_gates_touch(monkeypatch):
-    # Gates on wires 1-2 of three: the unitary is built on two wires, and
-    # untouched-scope damping acts on wire 3 alone.
+    # Gates on wires 1-2 of three: a one-wire unitary, a permutation of
+    # wires 1-2 and a one-wire unitary, and untouched-scope damping acts on
+    # wire 3 alone.
     from tritwalk.circuit import Circuit, rotation, xgate
 
     layer = Circuit(3, (rotation("Y01", 0.9, 1), xgate("X+1", 2, ((1, 2),)), rotation("Z12", 0.4, 2)))
@@ -273,7 +277,7 @@ def test_unitary_acts_on_the_wires_its_gates_touch(monkeypatch):
     rho = random_density(np.random.default_rng(8), 27)
     noise = NoiseConfig(idle_kind="amplitude", r1=0.3, r2=0.2)
     got = next(simulate_noisy_walk(layer, 3, rho, 1, noise))
-    assert widths == [2]
+    assert widths == [("unitary", 1), ("permutation", 2), ("unitary", 1)]
     u = embed_gate(3, layer.gates[2]) @ embed_gate(3, layer.gates[1]) @ embed_gate(3, layer.gates[0])
     want = apply_channel(u @ rho @ u.conj().T, amplitude_damping_channel(0.3, 0.2, 1.0), (3,))
     assert np.linalg.norm(got - want) < 1e-12
@@ -292,34 +296,69 @@ def test_layer_without_gates_builds_no_unitary_and_idles_every_wire(monkeypatch)
     assert np.linalg.norm(got - want) < 1e-12
 
 
+def test_compiled_density_step_matches_unitary_conjugation():
+    # Seeded random circuits of width <= 4 mixing rotations, xgates and
+    # phases with valued controls, xgate runs on strict subsets included.
+    rng = np.random.default_rng(41)
+    subset_x_runs = 0
+    for width in (1, 2, 3, 4):
+        for _ in range(5):
+            c = random_circuit(rng, width, 14)
+            runs = split_runs(c)
+            subset_x_runs += sum(r.gates[0].kind == "xgate" and r.width < width for _, r in runs)
+            rho = random_density(rng, 3**width)
+            u = circuit_unitary(c)
+            got = next(simulate_noisy_walk(c, width, rho, 1, NoiseConfig()))
+            assert np.abs(got - u @ rho @ u.conj().T).max() < 1e-12
+    assert subset_x_runs > 0
+
+
+@pytest.mark.parametrize("layer", [build_layer_dihedral(27, CoinSpec("xclass", theta=np.pi)),
+                                   build_layer_cycle(81, CoinSpec("zclass", theta=1.1), 2)],
+                         ids=["dihedral-27", "cycle-81-a2"])
+def test_walk_layer_is_one_small_unitary_and_one_permutation(layer):
+    # The coin run on at most two wires (its ket and bra ops), then one
+    # gather of the whole 5-wire density: no 3^5 x 3^5 unitary is built.
+    (ket, u), (bra, u_conj), (axes, index) = _layer_ops(layer, None)
+    assert len(ket) <= 2 and u.shape == (3 ** len(ket),) * 2
+    assert bra == tuple(5 + a for a in ket) and np.array_equal(u_conj, u.conj())
+    assert axes == tuple(range(10)) and index.shape == (9**5,)
+    assert np.array_equal(np.sort(index), np.arange(9**5))
+
+
 def test_unitary_and_its_conjugate_count_against_the_budget(monkeypatch):
-    # Dihedral-3 has 3 wires, all touched: the density, the unitary and its
-    # conjugate, and two op list entries, refused before the unitary is built.
+    # Dihedral-3 has 3 wires, all touched: the density and its four working
+    # copies, the coin unitary on wires 1-2 and its conjugate, the shift's
+    # 9^3 gather index, and three op list entries, the gather's axes tuple
+    # six long; refused before any matrix or index is built.
     layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
     rho = np.eye(27) / 27
     widths = _spy_unitary_widths(monkeypatch)
     noise = NoiseConfig(idle_kind="amplitude", r1=0.3, r2=0.2, idle_scope="all")
-    size = 16 * 9**3 + 32 * 9**3 + 2 * 120
+    size = 5 * 16 * 9**3 + 32 * 9**2 + 8 * 9**3 + 2 * 120 + (120 + 4 * 8)
     monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", size - 1)
     with pytest.raises(ValueError, match=f"3 wires takes {size} bytes"):
         next(simulate_noisy_walk(layer, 3, rho, 1, noise))
     assert widths == []
     monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", size)
     assert np.trace(next(simulate_noisy_walk(layer, 3, rho, 1, noise))).real == pytest.approx(1)
-    assert widths == [3]
+    assert widths == [("unitary", 2), ("permutation", 3)]
 
 
 def test_width_8_walk_unitary_is_refused_before_it_is_built(monkeypatch):
-    # 16 * 9^8 + 2 * 16 * 9^8 + 2 * 120 = 2,066,242,848 bytes is over the
-    # 2^30-byte budget; width 7 needs 229,582,752 and gets to the build.
-    def no_build(_):
-        raise AssertionError("unitary built")
+    # 5 * 16 * 9^8 + 2 * 16 * 9^2 + 8 * 9^8 + 2 * 120 + (120 + 14 * 8)
+    # = 3,788,114,512 bytes is over the 2^30-byte budget; width 7 counts
+    # 420,904,320 and gets to the build.  No density is made here.
+    def no_build(*_):
+        raise AssertionError("run matrix built")
 
-    monkeypatch.setattr(tritwalk.noise, "circuit_unitary", no_build)
+    monkeypatch.setattr(tritwalk.noise, "run_matrix", no_build)
+    monkeypatch.setattr(tritwalk.circuit, "circuit_unitary", no_build)
+    monkeypatch.setattr(tritwalk.circuit, "apply_state", no_build)
     coin = CoinSpec("xclass", theta=np.pi)
-    with pytest.raises(ValueError, match="8 wires takes 2066242848 bytes"):
+    with pytest.raises(ValueError, match="8 wires takes 3788114512 bytes"):
         _layer_ops(build_layer_dihedral(729, coin), None)
-    with pytest.raises(AssertionError, match="unitary built"):
+    with pytest.raises(AssertionError, match="run matrix built"):
         _layer_ops(build_layer_dihedral(243, coin), None)
 
 
