@@ -198,19 +198,19 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
 # channel is one real 9^k x 9^k transfer matrix.  On both paths axis a is
 # wire a % width + 1; untouched-scope idle noise takes the wires no op reaches.
 
-# Budget for one complex density, 16 * 9^width bytes, the layer's op list
-# (_OP_BYTES an entry: its pair, an axes tuple of at most two axes, its list
-# slot, plus 8 bytes an axis beyond two) and its matrices.  Without gate
-# noise those are 2 * 16 * 9^k bytes for a unitary on k wires and its
-# conjugate, 8 * 9^width for each xgate run's gather index, and the
-# _STEP_COPIES density-sized arrays a step holds besides the density: the
-# caller's initial density, the previous step's output, and the input copy
-# and output of a contraction.  With gate noise they are 8 * 81^k bytes per
-# distinct run on k wires.  Idle channels and the transients of building a
-# matrix are not counted.
+# Budget: a density run on either engine holds _DENSITIES complex densities
+# of 16 * 9^width bytes at its peak (the caller's density and last output,
+# the step's tensor, a contraction's input copy and result); two-step walks
+# at widths 5-7 peaked at 5.0 (complex) and 5.5 (Gell-Mann) densities over
+# their plan and under 10 MB fixed.  A plan adds its op list (_OP_BYTES an
+# entry: its pair, an axes tuple of at most two axes, its list slot, plus 8
+# bytes an axis beyond two) and its matrices: 2 * 16 * 9^k bytes for a
+# unitary on k wires and its conjugate, 8 * 9^width for an xgate run's
+# gather index, and with gate noise 8 * 81^k bytes per distinct run on k
+# wires.  Idle channels and matrix-building transients are not counted.
 DENSITY_BUDGET_BYTES = 2**30
+_DENSITIES = 6
 _OP_BYTES = 2 * sys.getsizeof((0, 0)) + 8
-_STEP_COPIES = 4
 
 
 def _gell_mann() -> np.ndarray:
@@ -234,8 +234,8 @@ _FROM_GELL_MANN = _TO_GELL_MANN.conj().T
 
 
 def check_density_budget(width: int, ops_bytes: int = 0) -> None:
-    """Refuse a complex density plus ops_bytes of step ops over DENSITY_BUDGET_BYTES."""
-    size = 16 * 9**width + ops_bytes
+    """Refuse a density run's working set plus ops_bytes of step ops over the budget."""
+    size = _DENSITIES * 16 * 9**width + ops_bytes
     if size > DENSITY_BUDGET_BYTES:
         raise ValueError(
             f"a density run on {width} wires takes {size} bytes, "
@@ -372,7 +372,7 @@ def _compiled_plan(layer: Circuit) -> tuple:
     width = layer.width
     runs = split_runs(layer)
     placed = []
-    size = _STEP_COPIES * 16 * 9**width
+    size = 0
     for ket, run in runs:
         bra = tuple(width + a for a in ket)
         if run.gates[0].kind == "xgate":
@@ -395,9 +395,9 @@ def _compiled_plan(layer: Circuit) -> tuple:
 def _layer_ops(layer: Circuit, p1: float | None) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """(0-based axes, matrix) of the layer's step ops, with gate noise p1 or none.
 
-    A plan is the op list with matrix indices, the bytes of its matrices,
-    index arrays and working copies, and their builder; the budget is
-    checked before any matrix or index array is built.
+    A plan is the op list with matrix indices, the bytes of its matrices and
+    index arrays, and their builder; the budget is checked before any matrix
+    or index array is built.
     """
     placed, size, build = _compiled_plan(layer) if p1 is None else _gate_noise_plan(layer, p1)
     size += sum(_OP_BYTES + 8 * max(0, len(axes) - 2) for axes, _ in placed)

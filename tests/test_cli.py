@@ -319,7 +319,7 @@ def test_walk_rejects_density_over_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 16 * 9**2)
     assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "3 wires" in err and str(16 * 9**3) in err
+    assert err.startswith("error:") and "3 wires" in err and str(6 * 16 * 9**3) in err
     assert not (tmp_path / "walk.csv").exists()
     # A noiseless run evolves a state vector, so the density budget does not apply.
     assert main(["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", "none"]) == 0
@@ -330,13 +330,35 @@ def test_walk_rejects_gate_noise_ops_over_budget(tmp_path, capsys, monkeypatch):
 
     cfg = tmp_path / "c.ini"
     cfg.write_text("[graph]\nkind = dihedral\nvertices = 27\n\n[run]\nsteps = 3\n")
-    # The 5-wire density fits; the 81 distinct matrices of its 559 fused ops do not.
-    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 2 * 10**6)
+    # The 5-wire working set of six densities fits; the 81 distinct matrices
+    # of its 559 fused ops do not.
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 6 * 10**6)
     argv = ["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", "gate"]
     assert main(argv + ["--epsilon", "4", "--seed", "1"]) == 1
     err = capsys.readouterr().err.splitlines()
-    size = 16 * 9**5 + 81 * 8 * 81**2 + 559 * 120
+    size = 6 * 16 * 9**5 + 81 * 8 * 81**2 + 559 * 120
     assert len(err) == 1 and err[0].startswith("error:") and f"5 wires takes {size} bytes" in err[0]
+    assert not (tmp_path / "walk.csv").exists()
+
+
+@pytest.mark.parametrize("engine", ["gate", "idle"])
+def test_width_8_walk_is_refused_before_its_layer_or_state(tmp_path, capsys, monkeypatch, engine):
+    # Six 8-wire densities, 6 * 16 * 9^8 bytes, are over the 2^30-byte
+    # budget on either engine; nothing of the run is built.
+    def no_build(*_):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(tritwalk.cli, "build_layer_dihedral", no_build)
+    monkeypatch.setattr(tritwalk.cli, "build_initial_state", no_build)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(
+        "[graph]\nkind = dihedral\nvertices = 729\n\n[run]\nsteps = 2\n\n[noise]\nidle_scope = all\n"
+    )
+    argv = ["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", engine]
+    assert main(argv + ["--epsilon", "3", "--seed", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "8 wires takes 4132485216 bytes" in err[0]
     assert not (tmp_path / "walk.csv").exists()
 
 

@@ -327,15 +327,15 @@ def test_walk_layer_is_one_small_unitary_and_one_permutation(layer):
 
 
 def test_unitary_and_its_conjugate_count_against_the_budget(monkeypatch):
-    # Dihedral-3 has 3 wires, all touched: the density and its four working
-    # copies, the coin unitary on wires 1-2 and its conjugate, the shift's
-    # 9^3 gather index, and three op list entries, the gather's axes tuple
-    # six long; refused before any matrix or index is built.
+    # Dihedral-3 has 3 wires, all touched: the working set of six densities,
+    # the coin unitary on wires 1-2 and its conjugate, the shift's 9^3
+    # gather index, and three op list entries, the gather's axes tuple six
+    # long; refused before any matrix or index is built.
     layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
     rho = np.eye(27) / 27
     widths = _spy_unitary_widths(monkeypatch)
     noise = NoiseConfig(idle_kind="amplitude", r1=0.3, r2=0.2, idle_scope="all")
-    size = 5 * 16 * 9**3 + 32 * 9**2 + 8 * 9**3 + 2 * 120 + (120 + 4 * 8)
+    size = 6 * 16 * 9**3 + 32 * 9**2 + 8 * 9**3 + 2 * 120 + (120 + 4 * 8)
     monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", size - 1)
     with pytest.raises(ValueError, match=f"3 wires takes {size} bytes"):
         next(simulate_noisy_walk(layer, 3, rho, 1, noise))
@@ -346,9 +346,9 @@ def test_unitary_and_its_conjugate_count_against_the_budget(monkeypatch):
 
 
 def test_width_8_walk_unitary_is_refused_before_it_is_built(monkeypatch):
-    # 5 * 16 * 9^8 + 2 * 16 * 9^2 + 8 * 9^8 + 2 * 120 + (120 + 14 * 8)
-    # = 3,788,114,512 bytes is over the 2^30-byte budget; width 7 counts
-    # 420,904,320 and gets to the build.  No density is made here.
+    # 6 * 16 * 9^8 + 2 * 16 * 9^2 + 8 * 9^8 + 2 * 120 + (120 + 14 * 8)
+    # = 4,476,862,048 bytes is over the 2^30-byte budget; width 7 counts
+    # 497,431,824 and gets to the build.  No density is made here.
     def no_build(*_):
         raise AssertionError("run matrix built")
 
@@ -356,10 +356,40 @@ def test_width_8_walk_unitary_is_refused_before_it_is_built(monkeypatch):
     monkeypatch.setattr(tritwalk.circuit, "circuit_unitary", no_build)
     monkeypatch.setattr(tritwalk.circuit, "apply_state", no_build)
     coin = CoinSpec("xclass", theta=np.pi)
-    with pytest.raises(ValueError, match="8 wires takes 3788114512 bytes"):
+    with pytest.raises(ValueError, match="8 wires takes 4476862048 bytes"):
         _layer_ops(build_layer_dihedral(729, coin), None)
     with pytest.raises(AssertionError, match="run matrix built"):
         _layer_ops(build_layer_dihedral(243, coin), None)
+
+
+def test_width_8_gate_noise_matrices_are_refused_before_they_are_built(monkeypatch):
+    # 6 * 16 * 9^8 + 7,085,880 bytes of transfer matrices + 16,327 op list
+    # entries of 120 B = 4,141,530,336 bytes is over the budget; width 7
+    # counts 465,954,240 and gets to the build.
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("transfer matrix built")
+
+    monkeypatch.setattr(tritwalk.noise, "embed_gate", no_build)
+    monkeypatch.setattr(tritwalk.noise, "_superop", no_build)
+    coin = CoinSpec("xclass", theta=np.pi)
+    with pytest.raises(ValueError, match="8 wires takes 4141530336 bytes"):
+        _layer_ops(build_layer_dihedral(729, coin), 1e-4)
+    with pytest.raises(AssertionError, match="transfer matrix built"):
+        _layer_ops(build_layer_dihedral(243, coin), 1e-4)
+
+
+def test_width_8_density_is_refused_before_lowering(monkeypatch):
+    # The first check counts the six-density working set alone,
+    # 6 * 16 * 9^8 = 4,132,485,216 bytes, before the layer is lowered or the
+    # density looked at: a 1 x 1 placeholder stands in for it.
+    def no_lowering(_):
+        raise AssertionError("lowered before the budget check")
+
+    monkeypatch.setattr(tritwalk.noise, "lower_circuit", no_lowering)
+    layer = build_layer_dihedral(729, CoinSpec("xclass", theta=np.pi))
+    noise = NoiseConfig(gate_noise_enabled=True, p1=1e-4)
+    with pytest.raises(ValueError, match="8 wires takes 4132485216 bytes"):
+        next(simulate_noisy_walk(layer, 8, np.eye(1), 1, noise))
 
 
 def test_gate_noise_on_random_unitary_layer_matches_channel_oracle():
@@ -548,31 +578,32 @@ def test_density_budget_checked_before_lowering(monkeypatch):
         raise AssertionError("lowered before the budget check")
 
     monkeypatch.setattr(tritwalk.noise, "lower_circuit", no_lowering)
-    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 16 * 9**3 - 1)
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 6 * 16 * 9**3 - 1)
     noise = NoiseConfig(gate_noise_enabled=True, p1=0.01)
-    with pytest.raises(ValueError, match=f"3 wires takes {16 * 9**3} bytes"):
+    with pytest.raises(ValueError, match=f"3 wires takes {6 * 16 * 9**3} bytes"):
         next(simulate_noisy_walk(layer, 3, rho, 1, noise))
-    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 16 * 9**3)
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 6 * 16 * 9**3)
     with pytest.raises(AssertionError):
         next(simulate_noisy_walk(layer, 3, rho, 1, noise))
 
 
 def test_gate_noise_ops_count_against_the_budget(monkeypatch):
     # Dihedral-27 lowers to 559 fused 81 x 81 ops on 81 distinct matrices,
-    # 4.25 MB, next to a 0.9 MB density; a 2 MB budget admits the density
-    # but not the matrices, and the refusal comes before any is built.  Each
-    # op list entry adds its pair, its axes tuple and its list slot, 120 B.
+    # 4.25 MB, next to a working set of six 0.9 MB densities; a 6 MB budget
+    # admits the densities but not the matrices, and the refusal comes
+    # before any is built.  Each op list entry adds its pair, its axes tuple
+    # and its list slot, 120 B.
     layer = build_layer_dihedral(27, CoinSpec("xclass", theta=np.pi))
     rho = np.zeros((3**5, 3**5))
     rho[0, 0] = 1
-    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 2 * 10**6)
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 6 * 10**6)
 
     def no_build(*_args, **_kwargs):
         raise AssertionError("built a transfer matrix before the budget check")
 
     monkeypatch.setattr(tritwalk.noise, "_superop", no_build)
     noise = NoiseConfig(gate_noise_enabled=True, p1=1e-4)
-    size = 16 * 9**5 + 81 * 8 * 81**2 + 559 * 120  # 5,263,392 bytes
+    size = 6 * 16 * 9**5 + 81 * 8 * 81**2 + 559 * 120  # 9,987,312 bytes
     with pytest.raises(ValueError, match=f"5 wires takes {size} bytes"):
         next(simulate_noisy_walk(layer, 5, rho, 1, noise))
 

@@ -133,6 +133,34 @@ def test_lowered_layer_counts_pinned():
             assert got == want, (kind, a, n)
 
 
+def test_two_qutrit_growth_approaches_three_up_to_n_7():
+    # Two-qutrit counts of the lowered Grover-coin layers at N = 3^n: n = 2,
+    # 4 and 5 from test_lowered_layer_counts_pinned, n = 6 and 7 lowered
+    # here.  The growth ratio from n = 4 up keeps falling and stays above 3,
+    # as O(3nN) gates predicts, and criterion 07's envelope, fitted at
+    # n = 2, still bounds the counts.
+    grover = CoinSpec("xclass", theta=np.pi)
+    families = {
+        ("dihedral", None): (lambda n: 8 * n * 3 ** (n + 1) + 2, (418, 4282, 13018, 39250, 117970)),
+        ("cycle", 0): (lambda n: 8 * n * 3**n, (98, 1370, 4274, 13010, 39242)),
+        ("cycle", 2): (lambda n: (8 * n + 4 * n * 2) * 3**n, (164, 2284, 7124, 21684, 65404)),
+    }
+    for (kind, a), (form, pinned) in families.items():
+        two = dict(zip((2, 4, 5, 6, 7), pinned))
+        for n in (6, 7):
+            if kind == "dihedral":
+                layer = build_layer_dihedral(3**n, grover)
+            else:
+                layer = build_layer_cycle(3**n, grover, a)
+            counts = count_gates(lower_circuit(layer))
+            assert counts.multi_controlled == 0
+            assert counts.two_qutrit_controlled == two[n], (kind, a, n)
+        ratios = [two[n + 1] / two[n] for n in (4, 5, 6)]
+        assert ratios[0] > ratios[1] > ratios[2] > 3, (kind, a, ratios)
+        cfit = two[2] / form(2)
+        assert all(two[n] <= cfit * form(n) + 1e-9 for n in (6, 7)), (kind, a)
+
+
 def test_p_gate_permutation():
     c = p_gate_circuit()
     assert len(c) == 8
