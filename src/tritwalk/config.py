@@ -157,8 +157,8 @@ def _parse_noise(cp: ConfigParser) -> NoiseConfig:
         kwargs["gate_noise_enabled"] = _parse_bool(sec["gate"], "[noise] gate")
     if "idle" in sec:
         kwargs["idle_kind"] = sec["idle"]
-    if "idle_scope" in sec:
-        kwargs["idle_scope"] = sec["idle_scope"]
+    if sec.get("idle_scope", "all") != "all":
+        raise ValueError("[noise] idle_scope must be 'all': idle damping acts on every wire")
     for key, field in (("p1", "p1"), ("r1", "r1"), ("r2", "r2"), ("t_idle", "t_idle")):
         if key in sec:
             kwargs[field] = _parse_float(sec[key], f"[noise] {key}")

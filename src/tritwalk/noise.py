@@ -28,7 +28,6 @@ from .gates import x_matrix
 from .toffoli import lower_circuit
 
 IDLE_KINDS = ("none", "amplitude", "phase")
-IDLE_SCOPES = ("untouched", "all")
 
 _Z3 = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
 
@@ -119,15 +118,12 @@ class NoiseConfig:
     r1: float | None = None
     r2: float | None = None
     t_idle: float = 1.0
-    idle_scope: str = "untouched"
     epsilon_exponent: int | None = None
     rng_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.idle_kind not in IDLE_KINDS:
             raise ValueError(f"unknown idle kind {self.idle_kind!r}")
-        if self.idle_scope not in IDLE_SCOPES:
-            raise ValueError(f"unknown idle scope {self.idle_scope!r}")
         if self.t_idle < 0:
             raise ValueError("t_idle must be nonnegative")
         for name in ("p1", "r1", "r2"):
@@ -196,16 +192,16 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
 # & Krammer, arXiv:0806.1174); the layer is lowered gate by gate into runs
 # on at most two wires, and a run, each gate with its twirl, or an idle
 # channel is one real 9^k x 9^k transfer matrix.  On both paths axis a is
-# wire a % width + 1; untouched-scope idle noise takes the wires no op reaches.
+# wire a % width + 1, and the idle channel follows the layer on every wire.
 
-# Budget: a density run on either engine holds _DENSITIES complex densities
-# of 16 * 9^width bytes at its peak (the caller's density and last output,
-# the step's tensor, a contraction's input copy and result); two-step walks
-# at widths 5-7 peaked at 5.0 (complex) and 5.5 (Gell-Mann) densities over
-# their plan and under 10 MB fixed.  A plan adds its op list (_OP_BYTES an
-# entry: its pair, an axes tuple of at most two axes, its list slot, plus 8
-# bytes an axis beyond two) and its matrices: 2 * 16 * 9^k bytes for a
-# unitary on k wires and its conjugate, 8 * 9^width for an xgate run's
+# Budget: a density run on either engine holds at most _DENSITIES complex
+# densities of 16 * 9^width bytes at its peak.  Two-step walks at widths 5-7
+# peaked at 5.0 (complex) and 5.5 (Gell-Mann) densities over their plan and
+# under 10 MB fixed, with their caller holding the initial density and the
+# last output; `tritwalk walk` holds neither.  A plan adds its op list
+# (_OP_BYTES an entry: its pair, an axes tuple of at most two axes, its list
+# slot, plus 8 bytes an axis beyond two) and its matrices: 2 * 16 * 9^k bytes
+# for a unitary on k wires and its conjugate, 8 * 9^width for an xgate run's
 # gather index, and with gate noise 8 * 81^k bytes per distinct run on k
 # wires.  Idle channels and matrix-building transients are not counted.
 DENSITY_BUDGET_BYTES = 2**30
@@ -421,8 +417,7 @@ def simulate_noisy_walk(
     layer gate at a time, and a depolarizing channel of matching arity
     follows every lowered gate; without it each run of split_runs acts as
     one unitary on the wires it touches or as one basis permutation. Idle
-    damping is applied once per step, after the layer, to the wires no layer
-    op reaches or to all of them.
+    damping is applied once per step, after the layer, to every wire.
     """
     check_density_budget(width)
     if layer.width != width:
@@ -447,10 +442,11 @@ def simulate_noisy_walk(
         else:
             idle = phase_damping_channel(cfg.r1, cfg.t_idle)
         m = _superop(idle.operators, 1, real)
-        busy = {a % width for axes, _ in ops for a in axes} if cfg.idle_scope == "untouched" else ()
-        ops += [((w,) if real else (w, width + w), m) for w in range(width) if w not in busy]
+        ops += [((w,) if real else (w, width + w), m) for w in range(width)]
 
     t = _to_gell_mann(rho0, width) if real else rho0.reshape((3,) * (2 * width))
+    # The frame's name would keep the initial density alive for the whole run.
+    del rho0
     for _ in range(steps):
         for op in ops:
             t = apply_op(t, op)

@@ -274,7 +274,6 @@ def test_criterion_08_noisy_long_run(capfd):
     noise = NoiseConfig(
         gate_noise_enabled=True,
         idle_kind="amplitude",
-        idle_scope="all",
         epsilon_exponent=3,
         rng_seed=77,
     )
@@ -331,9 +330,7 @@ def test_criterion_09_noise_strength_ordering(capfd):
         for idle in ("amplitude", "phase"):
             metrics = {}
             for eps in (1, 6):
-                cfg = NoiseConfig(
-                    idle_kind=idle, idle_scope="all", epsilon_exponent=eps, rng_seed=123
-                )
+                cfg = NoiseConfig(idle_kind=idle, epsilon_exponent=eps, rng_seed=123)
                 dists = [
                     vertex_distribution(rho, g)
                     for rho in simulate_noisy_walk(layer, g.circuit_width, rho0, steps, cfg)

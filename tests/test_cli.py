@@ -28,7 +28,6 @@ steps = 3
 
 [noise]
 idle = amplitude
-idle_scope = all
 epsilon = 2
 seed = 11
 """
@@ -178,20 +177,45 @@ def test_walk_rejects_bad_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_walk_rejects_idle_noise_on_busy_wires(tmp_path, capsys):
-    # A walk layer touches every wire, so untouched-scope idle noise would
-    # act on nothing.
-    cfg = tmp_path / "c.ini"
-    cfg.write_text(TINY_CYCLE)
+def test_walk_idle_noise_needs_no_idle_scope(tmp_path, capsys):
+    # Idle damping acts on every wire, so a config without idle_scope writes
+    # the CSV of one that names the only scope there is.
+    def walk(text, out, *extra):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        assert main(["walk", "--config", str(cfg), "--out", str(out), *extra]) == 0
+        return [l for l in (out / "walk.csv").read_text().splitlines() if not l.startswith("# timestamp=")]
+
+    ideal = walk(TINY_CYCLE, tmp_path / "ideal", "--noise", "none")
     for mode in ("idle", "both"):
-        args = ["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", mode, "--epsilon", "2", "--seed", "1"]
-        assert main(args) == 1
-        assert "idle_scope = all" in capsys.readouterr().err
-    cfg.write_text(TINY_CYCLE + "\n[noise]\nidle = amplitude\nr1 = 0.1\nr2 = 0.2\n")
-    assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    assert "idle_scope = all" in capsys.readouterr().err
-    assert not (tmp_path / "walk.csv").exists()
-    cfg.write_text(TINY_CYCLE + "\n[noise]\nidle = amplitude\nr1 = 0.1\nr2 = 0.2\nidle_scope = all\n")
+        extra = ("--noise", mode, "--epsilon", "2", "--seed", "1")
+        bare = walk(TINY_CYCLE, tmp_path / f"{mode}-bare", *extra)
+        scoped = walk(TINY_CYCLE + "\n[noise]\nidle_scope = all\n", tmp_path / f"{mode}-all", *extra)
+        assert bare == scoped and "# idle_scope=all" in bare
+        rows = [l for l in bare if not l.startswith("#")]
+        assert rows != [l for l in ideal if not l.startswith("#")]
+
+
+def test_refused_walk_removes_only_an_out_directory_it_made(tmp_path, capsys, monkeypatch):
+    import tritwalk.noise
+
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(TINY_DIHEDRAL)
+    monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", 16 * 9**2)
+    made = tmp_path / "big"
+    assert main(["walk", "--config", str(cfg), "--out", str(made)]) == 1
+    assert not made.exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["walk", "--config", str(cfg), "--out", str(kept)]) == 1
+    assert kept.is_dir() and not any(kept.iterdir())
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_walk_runs_where_the_c_library_has_no_mallopt(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tritwalk.cli.ctypes, "CDLL", lambda _: object())
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(TINY_DIHEDRAL)
     assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
@@ -352,7 +376,7 @@ def test_width_8_walk_is_refused_before_its_layer_or_state(tmp_path, capsys, mon
     monkeypatch.setattr(tritwalk.cli, "build_initial_state", no_build)
     cfg = tmp_path / "c.ini"
     cfg.write_text(
-        "[graph]\nkind = dihedral\nvertices = 729\n\n[run]\nsteps = 2\n\n[noise]\nidle_scope = all\n"
+        "[graph]\nkind = dihedral\nvertices = 729\n\n[run]\nsteps = 2\n"
     )
     argv = ["walk", "--config", str(cfg), "--out", str(tmp_path), "--noise", engine]
     assert main(argv + ["--epsilon", "3", "--seed", "1"]) == 1

@@ -95,12 +95,19 @@ def test_custom_coin_matrix():
         "[initial]\nvertex = 00:1\n",  # labels are written exactly as walk.csv writes them
         "[noise]\nidle = cosmic\n",
         "[noise]\nidle_scope = nearby\n",
+        "[noise]\nidle_scope = untouched\n",  # idle damping acts on every wire
         "[noise]\nepsilon = 3\n",  # draw without seed
     ],
 )
 def test_fail_closed(mutation):
     with pytest.raises(ValueError):
         parse_config(DIHEDRAL + "\n" + mutation)
+
+
+def test_idle_scope_accepts_only_every_wire():
+    assert parse_config(DIHEDRAL + "\n[noise]\nidle_scope = all\n").noise == parse_config(DIHEDRAL).noise
+    with pytest.raises(ValueError, match="idle damping acts on every wire"):
+        parse_config(DIHEDRAL + "\n[noise]\nidle_scope = untouched\n")
 
 
 def test_run_section_fail_closed():

@@ -1,3 +1,4 @@
+import weakref
 from functools import reduce
 from itertools import product
 
@@ -11,7 +12,6 @@ import tritwalk.noise
 from tritwalk.circuit import apply_state, circuit_unitary, embed_gate, split_runs
 from tritwalk.noise import (
     IDLE_KINDS,
-    IDLE_SCOPES,
     KrausChannel,
     NoiseConfig,
     _GELL_MANN,
@@ -141,8 +141,6 @@ def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(idle_kind="thermal")
     with pytest.raises(ValueError):
-        NoiseConfig(idle_scope="some")
-    with pytest.raises(ValueError):
         NoiseConfig(p1=-0.1)
     with pytest.raises(ValueError):
         NoiseConfig(epsilon_exponent=3)  # no seed
@@ -201,7 +199,6 @@ def test_noisy_run_stays_physical():
     noise = NoiseConfig(
         gate_noise_enabled=True,
         idle_kind="amplitude",
-        idle_scope="all",
         epsilon_exponent=2,
         rng_seed=9,
     )
@@ -213,32 +210,42 @@ def test_noisy_run_stays_physical():
     assert np.linalg.eigvalsh(last).min() > -1e-10
 
 
-def test_idle_scope_untouched_skips_busy_wires():
-    # Every wire of a walk layer is acted on, so untouched-scope idle noise
-    # changes nothing.
+def test_idle_damping_acts_on_every_wire_of_a_walk_layer():
+    # A walk layer touches every wire, and the idle channel still follows
+    # it on each of them.
     coin = CoinSpec("xclass", theta=np.pi)
     layer = build_layer_cycle(3, coin, 0)
     width = layer.width
     psi = np.zeros(3**width, dtype=complex)
     psi[1] = 1
     rho = np.outer(psi, psi.conj())
-    idle = NoiseConfig(idle_kind="amplitude", r1=0.5, r2=0.5)
-    clean = NoiseConfig()
-    for a, b in zip(
-        simulate_noisy_walk(layer, width, rho, 3, idle),
-        simulate_noisy_walk(layer, width, rho, 3, clean),
-    ):
-        assert np.linalg.norm(a - b) < 1e-12
-    # scope=all does perturb the state
-    allwires = NoiseConfig(idle_kind="amplitude", r1=0.5, r2=0.5, idle_scope="all")
-    a = next(simulate_noisy_walk(layer, width, rho, 1, allwires))
-    b = next(simulate_noisy_walk(layer, width, rho, 1, clean))
-    assert np.linalg.norm(a - b) > 1e-3
+    clean = next(simulate_noisy_walk(layer, width, rho, 1, NoiseConfig()))
+    got = next(simulate_noisy_walk(layer, width, rho, 1, NoiseConfig(idle_kind="amplitude", r1=0.5, r2=0.5)))
+    want = clean
+    for w in range(1, width + 1):
+        want = apply_channel(want, amplitude_damping_channel(0.5, 0.5, 1.0), (w,))
+    assert np.linalg.norm(got - want) < 1e-12
+    assert np.linalg.norm(got - clean) > 1e-3
+
+
+@pytest.mark.parametrize("gate_noise", [False, True], ids=["complex", "gell-mann"])
+def test_initial_density_dies_in_the_first_step(gate_noise):
+    # Once the caller lets go of it, the initial density is read by the
+    # first step and then held by nothing.
+    layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
+    rho = random_density(np.random.default_rng(3), 27)
+    alive = weakref.ref(rho)
+    noise = NoiseConfig(gate_noise_enabled=gate_noise, p1=0.01, idle_kind="phase", r1=0.2)
+    run = simulate_noisy_walk(layer, 3, rho, 2, noise)
+    del rho
+    next(run)
+    assert alive() is None
+    assert abs(np.trace(next(run)) - 1) < 1e-12
 
 
 def test_gate_noise_idles_wires_that_lowering_leaves_untouched():
-    # A doubly-controlled phase lowers onto its control wires alone, so
-    # under gate noise its target wire idles.
+    # A doubly-controlled phase lowers onto its control wires alone; idle
+    # damping acts on those and on its untouched target wire alike.
     from tritwalk.circuit import Circuit, phase
 
     layer = Circuit(3, (phase(0.7, 3, ((1, 2), (2, 1))),))
@@ -248,7 +255,8 @@ def test_gate_noise_idles_wires_that_lowering_leaves_untouched():
     got = next(simulate_noisy_walk(layer, 3, rho, 1, noise))
     gates_only = NoiseConfig(gate_noise_enabled=True, p1=0.01)
     want = next(simulate_noisy_walk(layer, 3, rho, 1, gates_only))
-    want = apply_channel(want, amplitude_damping_channel(0.3, 0.2, 1.0), (3,))
+    for w in (1, 2, 3):
+        want = apply_channel(want, amplitude_damping_channel(0.3, 0.2, 1.0), (w,))
     assert np.linalg.norm(got - want) < 1e-12
 
 
@@ -268,8 +276,7 @@ def _spy_unitary_widths(monkeypatch):
 
 def test_unitary_acts_on_the_wires_its_gates_touch(monkeypatch):
     # Gates on wires 1-2 of three: a one-wire unitary, a permutation of
-    # wires 1-2 and a one-wire unitary, and untouched-scope damping acts on
-    # wire 3 alone.
+    # wires 1-2 and a one-wire unitary, then damping on every wire.
     from tritwalk.circuit import Circuit, rotation, xgate
 
     layer = Circuit(3, (rotation("Y01", 0.9, 1), xgate("X+1", 2, ((1, 2),)), rotation("Z12", 0.4, 2)))
@@ -279,7 +286,9 @@ def test_unitary_acts_on_the_wires_its_gates_touch(monkeypatch):
     got = next(simulate_noisy_walk(layer, 3, rho, 1, noise))
     assert widths == [("unitary", 1), ("permutation", 2), ("unitary", 1)]
     u = embed_gate(3, layer.gates[2]) @ embed_gate(3, layer.gates[1]) @ embed_gate(3, layer.gates[0])
-    want = apply_channel(u @ rho @ u.conj().T, amplitude_damping_channel(0.3, 0.2, 1.0), (3,))
+    want = u @ rho @ u.conj().T
+    for w in (1, 2, 3):
+        want = apply_channel(want, amplitude_damping_channel(0.3, 0.2, 1.0), (w,))
     assert np.linalg.norm(got - want) < 1e-12
 
 
@@ -334,7 +343,7 @@ def test_unitary_and_its_conjugate_count_against_the_budget(monkeypatch):
     layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
     rho = np.eye(27) / 27
     widths = _spy_unitary_widths(monkeypatch)
-    noise = NoiseConfig(idle_kind="amplitude", r1=0.3, r2=0.2, idle_scope="all")
+    noise = NoiseConfig(idle_kind="amplitude", r1=0.3, r2=0.2)
     size = 6 * 16 * 9**3 + 32 * 9**2 + 8 * 9**3 + 2 * 120 + (120 + 4 * 8)
     monkeypatch.setattr(tritwalk.noise, "DENSITY_BUDGET_BYTES", size - 1)
     with pytest.raises(ValueError, match=f"3 wires takes {size} bytes"):
@@ -443,9 +452,7 @@ def test_superop_path_matches_explicit_kraus_route():
     twirls = {k: depolarizing_channel(k, clamped_p1(p1, k)) for k in (1, 2)}
     for layer, idle_kind in cases:
         rho = random_density(rng, 27)
-        noise = NoiseConfig(
-            gate_noise_enabled=True, p1=p1, idle_kind=idle_kind, r1=r1, r2=r2, idle_scope="all"
-        )
+        noise = NoiseConfig(gate_noise_enabled=True, p1=p1, idle_kind=idle_kind, r1=r1, r2=r2)
         got = list(simulate_noisy_walk(layer, width, rho, 2, noise))
 
         if idle_kind == "amplitude":
@@ -637,18 +644,18 @@ def test_fused_ops_share_matrices(graph, n, n_ops, n_matrices):
     gate_noise_enabled=st.booleans(),
     p1=st.floats(0, 1 / 9),
     idle_kind=st.sampled_from(IDLE_KINDS),
-    idle_scope=st.sampled_from(IDLE_SCOPES),
     r1=st.floats(0, 2),
     r2=st.floats(0, 2),
 )
 # The derandomized draws without gate noise all have idle_kind none; these
-# two add idle channels after the dense ops, on an untouched wire and on all.
+# two add idle channels after the compiled runs, one of them on a wire that
+# no gate touches.
 @example(seed=6, width=3, ngates=1, gate_noise_enabled=False, p1=0.0, idle_kind="amplitude",
-         idle_scope="untouched", r1=0.4, r2=1.3)
+         r1=0.4, r2=1.3)
 @example(seed=9, width=3, ngates=2, gate_noise_enabled=False, p1=0.0, idle_kind="phase",
-         idle_scope="all", r1=0.8, r2=0.0)
+         r1=0.8, r2=0.0)
 def test_engine_matches_kraus_oracle_on_random_circuits(
-    seed, width, ngates, gate_noise_enabled, p1, idle_kind, idle_scope, r1, r2
+    seed, width, ngates, gate_noise_enabled, p1, idle_kind, r1, r2
 ):
     # With gate noise each lowered gate is followed by its twirl; without it
     # the unlowered gates act as they are.
@@ -659,7 +666,6 @@ def test_engine_matches_kraus_oracle_on_random_circuits(
         gate_noise_enabled=gate_noise_enabled,
         p1=p1,
         idle_kind=idle_kind,
-        idle_scope=idle_scope,
         r1=r1,
         r2=r2,
     )
@@ -668,22 +674,19 @@ def test_engine_matches_kraus_oracle_on_random_circuits(
     twirls = {k: depolarizing_channel(k, clamped_p1(p1, k)) for k in (1, 2)}
     replayed = lower_circuit(layer) if gate_noise_enabled else layer
     want = rho
-    touched = set()
     for g in replayed.gates:
         u = embed_gate(width, g)
         want = u @ want @ u.conj().T
         support = (g.target,) + tuple(w for w, _ in g.controls)
         if gate_noise_enabled:
             want = apply_channel(want, twirls[len(support)], support)
-        touched.update(support)
     if idle_kind != "none":
         if idle_kind == "amplitude":
             idle = amplitude_damping_channel(r1, r2, 1.0)
         else:
             idle = phase_damping_channel(r1, 1.0)
         for w in range(1, width + 1):
-            if idle_scope == "all" or w not in touched:
-                want = apply_channel(want, idle, (w,))
+            want = apply_channel(want, idle, (w,))
     assert np.linalg.norm(got - want) < 1e-12
 
 
@@ -693,6 +696,6 @@ def test_gate_noise_path_holds_trace_over_many_steps():
     # accumulate into it step after step.
     layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
     rho = random_density(np.random.default_rng(71), 27)
-    noise = NoiseConfig(gate_noise_enabled=True, p1=0.01, idle_kind="amplitude", r1=0.2, r2=0.1, idle_scope="all")
+    noise = NoiseConfig(gate_noise_enabled=True, p1=0.01, idle_kind="amplitude", r1=0.2, r2=0.1)
     for out in simulate_noisy_walk(layer, 3, rho, 60, noise):
         assert abs(np.trace(out) - 1) < 1e-14

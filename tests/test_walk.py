@@ -272,8 +272,8 @@ def test_layer_gate_counts_stable():
     + [("dihedral", n, None) for n in (3, 5, 27)],
 )
 def test_walk_layers_touch_every_wire(graph, n, a):
-    # `tritwalk walk` refuses untouched-scope idle noise without looking at
-    # the layer, which holds while every wire is touched, lowered or not.
+    # Every wire is touched, lowered or not, so idle damping kept to the
+    # wires a layer leaves alone would never act on a walk.
     layer = build_layer_dihedral(n, GROVER) if graph == "dihedral" else build_layer_cycle(n, GROVER, a)
     every = set(range(1, layer.width + 1))
     for c in (layer, lower_circuit(layer)):
