@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, Gate, register_width, rotation, xgate
+from .circuit import Circuit, Gate, _apply_gate, register_width, rotation, xgate
 from .su3 import decompose_su3, su3_factors
 
 __all__ = [
     "expand_mc_rotation",
     "blockdiag_synthesize",
+    "blockdiag_blocks",
 ]
 
 
@@ -113,3 +114,21 @@ def blockdiag_synthesize(u: np.ndarray) -> Circuit:
         angles = np.array([angle for _, angle in column])
         gates.extend(expand_mc_rotation(axis, angles, ctrl_wires, width))
     return Circuit(width, tuple(gates))
+
+
+def blockdiag_blocks(c: Circuit) -> np.ndarray:
+    """The 3^{n-1} diagonal 3x3 blocks of a circuit whose gates all target wire n.
+
+    The inverse of _split_blocks: no gate changes the control digits on
+    wires 1..n-1, so the circuit is block diagonal and block j (control
+    pattern j read as a base-3 number) is what it does to the three
+    last-wire basis states under that pattern.  Those are pushed through
+    together, three columns instead of the 3^n of the dense unitary.
+    """
+    if any(g.target != c.width for g in c.gates):
+        raise ValueError(f"every gate must target the last wire {c.width}")
+    nblocks = 3 ** (c.width - 1)
+    t = np.tile(np.eye(3, dtype=complex), (nblocks, 1, 1)).reshape((3,) * c.width + (3,))
+    for g in c.gates:
+        t = _apply_gate(t, g)
+    return t.reshape(nblocks, 3, 3)

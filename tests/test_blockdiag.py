@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from helpers import block_diagonal, mc_rotation_reference, random_su3
 
-from tritwalk.blockdiag import blockdiag_synthesize, expand_mc_rotation
+from tritwalk.blockdiag import blockdiag_blocks, blockdiag_synthesize, expand_mc_rotation
 from tritwalk.circuit import Circuit, circuit_unitary, count_gates, embed_gate, rotation
 from tritwalk.gates import AXES, frobenius_distance
+from tritwalk.walk import CoinSpec, build_layer_cycle
 
 
 def expanded(axis, angles, width):
@@ -91,3 +92,29 @@ def test_blockdiag_rejects_bad_input():
     v[0:3, 0:3] *= np.exp(0.4j)  # block determinant off unity
     with pytest.raises(ValueError):
         blockdiag_synthesize(v)
+
+
+def test_blockdiag_blocks_are_the_dense_diagonal():
+    # The blocks are the dense unitary's diagonal, and the dense unitary
+    # holds nothing outside them.  The two agree to rounding, not bit for
+    # bit: BLAS may round a column by where it sits in the product, and the
+    # dense product has 3^{n-1} times as many columns.
+    rng = np.random.default_rng(53)
+    for width in (1, 2, 3, 4):
+        c = blockdiag_synthesize(random_blockdiag(rng, width))
+        dense = circuit_unitary(c)
+        blocks = blockdiag_blocks(c)
+        nblocks = 3 ** (width - 1)
+        assert blocks.shape == (nblocks, 3, 3)
+        quads = dense.reshape(nblocks, 3, nblocks, 3)
+        j = np.arange(nblocks)
+        assert np.abs(quads[j, :, j, :] - blocks).max() < 1e-13, width
+        quads[j, :, j, :] = 0
+        assert not quads.any(), width
+
+
+def test_blockdiag_blocks_rejects_a_gate_off_the_last_wire():
+    layer = build_layer_cycle(9, CoinSpec("xclass", theta=np.pi), 1)
+    assert any(g.target != layer.width for g in layer.gates)
+    with pytest.raises(ValueError, match="last wire"):
+        blockdiag_blocks(layer)

@@ -94,6 +94,38 @@ def test_synth_blockdiag(tmp_path, capsys):
     assert int(out["two_qutrit"]) > 0
 
 
+def test_synth_blockdiag_prints_the_dense_residual(tmp_path, capsys):
+    # The residual comes from the circuit's blocks and matches the one its
+    # dense unitary gives.  Only to rounding: BLAS may round a column of the
+    # two products differently, by where it sits in each.
+    from helpers import block_diagonal, random_su3
+
+    from tritwalk.blockdiag import blockdiag_synthesize
+    from tritwalk.circuit import circuit_unitary
+    from tritwalk.gates import frobenius_distance
+
+    rng = np.random.default_rng(19)
+    write_matrix(tmp_path / "bd.txt", block_diagonal([random_su3(rng) for _ in range(9)]))
+    u = tritwalk.cli._read_matrix(str(tmp_path / "bd.txt"))
+    dense = frobenius_distance(circuit_unitary(blockdiag_synthesize(u)), u)
+    assert main(["synth-blockdiag", str(tmp_path / "bd.txt")]) == 0
+    *counts, residual = capsys.readouterr().out.splitlines()
+    assert counts == ["width 3", "rotations 81", "other_single 0", "two_qutrit 144"]
+    assert residual.startswith("residual ")
+    assert abs(float(residual.split()[1]) - dense) < 1e-13
+
+
+def test_synth_blockdiag_width_6(tmp_path, capsys):
+    from helpers import block_diagonal, random_su3
+
+    rng = np.random.default_rng(23)
+    write_matrix(tmp_path / "bd.txt", block_diagonal([random_su3(rng) for _ in range(243)]))
+    assert main(["synth-blockdiag", str(tmp_path / "bd.txt")]) == 0
+    out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert (out["width"], out["rotations"], out["two_qutrit"]) == ("6", "2187", "4356")
+    assert float(out["residual"]) < 1e-8
+
+
 def test_walk_csv_shape_and_conservation(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(TINY_CYCLE)

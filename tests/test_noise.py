@@ -243,6 +243,20 @@ def test_initial_density_dies_in_the_first_step(gate_noise):
     assert abs(np.trace(next(run)) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("idle_kind", ["amplitude", "none"])
+def test_mutating_a_yielded_density_leaves_the_run_unchanged(idle_kind):
+    # Each yielded density is the caller's own, whether the step ends on an
+    # idle channel (a moveaxis view, which reshape copies) or on a basis
+    # permutation (a contiguous tensor, which reshape would share).
+    layer = build_layer_dihedral(9, CoinSpec("xclass", theta=np.pi))
+    rho = random_density(np.random.default_rng(11), 3**layer.width)
+    noise = NoiseConfig(idle_kind=idle_kind, r1=0.2, r2=0.1)
+    want = list(simulate_noisy_walk(layer, layer.width, rho, 4, noise))
+    for t, got in enumerate(simulate_noisy_walk(layer, layer.width, rho, 4, noise)):
+        assert got.tobytes() == want[t].tobytes(), t
+        got[...] = np.nan
+
+
 def test_gate_noise_idles_wires_that_lowering_leaves_untouched():
     # A doubly-controlled phase lowers onto its control wires alone; idle
     # damping acts on those and on its untouched target wire alike.
