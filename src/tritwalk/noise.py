@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -186,13 +186,18 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
 # trits of every wire then the bra trits.  Each run of split_runs is one op
 # or two: a unitary on the k wires a run touches acts on their ket axes and
 # its conjugate on their bra axes, and an xgate run is a 1-D index that
-# gathers the flattened density; a one-wire idle channel is a 9 x 9
-# superoperator indexed (ket, bra).  With gate noise the density is a real
-# (9,)*width tensor in the per-wire orthonormal Gell-Mann basis (Bertlmann
-# & Krammer, arXiv:0806.1174); the layer is lowered gate by gate into runs
-# on at most two wires, and a run, each gate with its twirl, or an idle
-# channel is one real 9^k x 9^k transfer matrix.  On both paths axis a is
-# wire a % width + 1, and the idle channel follows the layer on every wire.
+# gathers the flattened density.  Idle damping on that engine is not an op
+# but one in-place pass after the layer (_idle_pass): slice adds into every
+# wire's (0,0) entries, then one multiply by all wires' diagonals.  That
+# order is exact because each wire's superoperator is D + L with L inside
+# row (0,0), whose diagonal entry is 1 wherever L is not zero, so D L = L
+# and D + L = D (I + L).
+# With gate noise the density is a real (9,)*width tensor in the per-wire
+# orthonormal Gell-Mann basis (Bertlmann & Krammer, arXiv:0806.1174); the
+# layer is lowered gate by gate into runs on at most two wires, and a run,
+# each gate with its twirl, or an idle channel is one real 9^k x 9^k
+# transfer matrix.  On both paths axis a is wire a % width + 1, and the idle
+# channel follows the layer on every wire.
 
 # Budget: a density run on either engine holds at most _DENSITIES complex
 # densities of 16 * 9^width bytes at its peak.  Two-step walks at widths 5-7
@@ -283,6 +288,63 @@ def _superop(ops: Iterable[np.ndarray], k: int, real: bool = False) -> np.ndarra
     m[0] = 0
     m[0, 0] = 1
     return m
+
+
+def _idle_pass(m: np.ndarray, width: int) -> Callable[[np.ndarray], None]:
+    """Apply the one-wire superoperator m to every wire of a complex density, in place.
+
+    m = D + L with D diagonal and L's entries all in row (0,0), none for
+    phase damping, and that row's diagonal entry 1 wherever L has one, so
+    D L = L and m = D (I + L).  Each D_v commutes with I + L_w for v != w,
+    so the pass adds every wire's L terms into its (0,0) slice first, then
+    multiplies by the diagonals of all wires at once.
+    """
+    n = 2 * width
+    d = np.diag(m).reshape(3, 3)
+
+    def entry(w: int, i: int, j: int) -> tuple:
+        idx: list = [slice(None)] * n
+        idx[w], idx[width + w] = i, j
+        return tuple(idx)
+
+    cols = np.flatnonzero(m[0, 1:]) + 1
+    adds = [
+        (entry(w, 0, 0), [(entry(w, *divmod(int(c), 3)), m[0, c]) for c in cols])
+        for w in range(width)
+        if len(cols)
+    ]
+    acc = np.empty((3,) * (n - 2), dtype=complex)
+    buf = np.empty_like(acc)
+
+    def diagonal(wires: range) -> np.ndarray:
+        f = np.ones((1,) * n, dtype=complex)
+        for w in wires:
+            shape = [1] * n
+            shape[w] = shape[width + w] = 3
+            f = f * d.reshape(shape)
+        return f
+
+    # Two broadcast factors of at most 9^ceil(width/2) entries each, so no
+    # density-sized array is built.
+    half = (width + 1) // 2
+    factors = [diagonal(wires) for wires in (range(half), range(half, width)) if wires]
+
+    def apply(t: np.ndarray) -> None:
+        # Slices of t are strided, and a ufunc on a strided operand allocates
+        # its own loop buffers, so they are only copied, into and out of two
+        # contiguous buffers.  At width 1 t[dst] is a scalar, not a view, so
+        # the sum goes back by indexed assignment.
+        for dst, srcs in adds:
+            acc[...] = t[dst]
+            for src, c in srcs:
+                buf[...] = t[src]
+                np.multiply(buf, c, out=buf)
+                np.add(acc, buf, out=acc)
+            t[dst] = acc
+        for f in factors:
+            t *= f
+
+    return apply
 
 
 def _twirl_diagonal(k: int, p1: float) -> np.ndarray:
@@ -436,18 +498,28 @@ def simulate_noisy_walk(
         raise ValueError("initial density must be Hermitian")
     if abs(np.trace(rho0) - 1) > 1e-9:
         raise ValueError("initial density must have unit trace")
+    idle_pass = None
     if cfg.idle_kind != "none":
         if cfg.idle_kind == "amplitude":
             idle = amplitude_damping_channel(cfg.r1, cfg.r2, cfg.t_idle)
         else:
             idle = phase_damping_channel(cfg.r1, cfg.t_idle)
         m = _superop(idle.operators, 1, real)
-        ops += [((w,) if real else (w, width + w), m) for w in range(width)]
+        if real:
+            ops += [((w,), m) for w in range(width)]
+        else:
+            idle_pass = _idle_pass(m, width)
 
     t = _to_gell_mann(rho0, width) if real else rho0.reshape((3,) * (2 * width))
+    if idle_pass is not None and not ops:
+        # With no layer op to make a new tensor, t is still the caller's density.
+        t = t.copy()
     # The frame's name would keep the initial density alive for the whole run.
     del rho0
     for _ in range(steps):
         for op in ops:
             t = apply_op(t, op)
-        yield _from_gell_mann(t, width) if real else t.reshape(dim, dim).copy()
+        if idle_pass is not None:
+            idle_pass(t)
+        # One C-order copy, whether t is a gather's output or a moveaxis view.
+        yield _from_gell_mann(t, width) if real else t.copy().reshape(dim, dim)

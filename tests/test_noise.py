@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from functools import reduce
 from itertools import product
@@ -243,11 +244,11 @@ def test_initial_density_dies_in_the_first_step(gate_noise):
     assert abs(np.trace(next(run)) - 1) < 1e-12
 
 
-@pytest.mark.parametrize("idle_kind", ["amplitude", "none"])
+@pytest.mark.parametrize("idle_kind", ["amplitude", "phase", "none"])
 def test_mutating_a_yielded_density_leaves_the_run_unchanged(idle_kind):
-    # Each yielded density is the caller's own, whether the step ends on an
-    # idle channel (a moveaxis view, which reshape copies) or on a basis
-    # permutation (a contiguous tensor, which reshape would share).
+    # Each yielded density is the caller's own, while the idle pass keeps
+    # writing into the engine's tensor in place, and whether the step ends
+    # on a basis permutation (a contiguous tensor, which reshape would share).
     layer = build_layer_dihedral(9, CoinSpec("xclass", theta=np.pi))
     rho = random_density(np.random.default_rng(11), 3**layer.width)
     noise = NoiseConfig(idle_kind=idle_kind, r1=0.2, r2=0.1)
@@ -255,6 +256,90 @@ def test_mutating_a_yielded_density_leaves_the_run_unchanged(idle_kind):
     for t, got in enumerate(simulate_noisy_walk(layer, layer.width, rho, 4, noise)):
         assert got.tobytes() == want[t].tobytes(), t
         got[...] = np.nan
+
+
+def _idle_channel(kind, r1, r2, t_idle=1.0):
+    if kind == "amplitude":
+        return amplitude_damping_channel(r1, r2, t_idle)
+    return phase_damping_channel(r1, t_idle)
+
+
+def _idle_on_every_wire(rho, ch, width):
+    for w in range(1, width + 1):
+        rho = apply_channel(rho, ch, (w,))
+    return rho
+
+
+@pytest.mark.parametrize("kind", ["amplitude", "phase"])
+def test_idle_superop_is_diagonal_plus_row_00(kind):
+    # The idle pass needs m = D + L with L inside row (0,0) and D L = L:
+    # m[(0,0),(0,0)] == 1 exactly wherever that row has an off-diagonal
+    # entry.  Amplitude damping always has that 1; phase damping has no L
+    # at all, and its m[(0,0),(0,0)], e1 + (1 - e1) as rounded, may sit
+    # one ulp off 1.
+    for r1, r2 in [(0.0, 0.0), (0.0, 0.4), (0.3, 0.0), (0.2, 0.7), (1e-6, 3e-7), (2.0, 1.5)]:
+        for t_idle in (0, 0.5, 1, 3):
+            m = _superop(_idle_channel(kind, r1, r2, t_idle).operators, 1)
+            off = m - np.diag(np.diag(m))
+            assert not off[1:].any(), (r1, r2, t_idle)
+            if kind == "amplitude":
+                assert m[0, 0] == 1, (r1, r2, t_idle)
+            else:
+                assert not off.any(), (r1, t_idle)
+
+
+@pytest.mark.parametrize("kind", ["amplitude", "phase"])
+def test_idle_pass_matches_kraus_sum_on_every_wire(kind):
+    rng = np.random.default_rng(17)
+    ch = _idle_channel(kind, 0.4, 0.9)
+    for width in (1, 2, 3, 4):
+        rho = random_density(rng, 3**width)
+        t = rho.reshape((3,) * (2 * width)).copy()
+        tritwalk.noise._idle_pass(_superop(ch.operators, 1), width)(t)
+        want = _idle_on_every_wire(rho, ch, width)
+        assert np.abs(t.reshape(rho.shape) - want).max() < 1e-12, width
+
+
+def test_idle_pass_allocates_no_density_sized_array():
+    # At width 5 its two slice buffers hold a ninth of the density each
+    # (105 kB of 945 kB) and its two diagonal factors 9^3 and 9^2 entries.
+    # Applying it allocates only NumPy's loop buffer for the broadcast
+    # multiply, about a ninth of the density.
+    width = 5
+    m = _superop(amplitude_damping_channel(0.3, 0.2, 1.0).operators, 1)
+    t = random_density(np.random.default_rng(2), 3**width).reshape((3,) * (2 * width))
+    tracemalloc.start()
+    try:
+        idle_pass = tritwalk.noise._idle_pass(m, width)
+        built, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        idle_pass(t)
+        _, applied = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    density = 16 * 9**width
+    assert built < density / 3
+    assert applied - built < density / 6
+
+
+@pytest.mark.parametrize("kind", ["amplitude", "phase"])
+def test_idle_pass_after_a_coin_only_layer(kind):
+    # The step ends on the coin's bra op, a moveaxis view rather than a
+    # gather's fresh tensor, and the pass writes through that view.
+    from tritwalk.circuit import Circuit, rotation
+
+    layer = Circuit(3, (rotation("Y01", 0.9, 1), rotation("Z12", 0.4, 2), rotation("X02", 1.3, 1)))
+    rho = random_density(np.random.default_rng(12), 27)
+    t = rho.reshape((3,) * 6)
+    for op in _layer_ops(layer, None):
+        t = tritwalk.circuit.apply_op(t, op)
+    assert not t.flags.c_contiguous
+    ch = _idle_channel(kind, 0.6, 0.2)
+    u = circuit_unitary(layer)
+    want = rho
+    for got in simulate_noisy_walk(layer, 3, rho, 3, NoiseConfig(idle_kind=kind, r1=0.6, r2=0.2)):
+        want = _idle_on_every_wire(u @ want @ u.conj().T, ch, 3)
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_gate_noise_idles_wires_that_lowering_leaves_untouched():
@@ -307,16 +392,20 @@ def test_unitary_acts_on_the_wires_its_gates_touch(monkeypatch):
 
 
 def test_layer_without_gates_builds_no_unitary_and_idles_every_wire(monkeypatch):
+    # With no op to make a new tensor, the engine copies the caller's
+    # density before the idle pass writes in place.
     from tritwalk.circuit import Circuit
 
     widths = _spy_unitary_widths(monkeypatch)
     rho = random_density(np.random.default_rng(9), 27)
-    got = next(simulate_noisy_walk(Circuit(3), 3, rho, 1, NoiseConfig(idle_kind="phase", r1=0.7)))
+    before = rho.tobytes()
+    for kind in ("phase", "amplitude"):
+        want = rho
+        for got in simulate_noisy_walk(Circuit(3), 3, rho, 2, NoiseConfig(idle_kind=kind, r1=0.7, r2=0.3)):
+            want = _idle_on_every_wire(want, _idle_channel(kind, 0.7, 0.3), 3)
+            assert np.linalg.norm(got - want) < 1e-12
+        assert rho.tobytes() == before
     assert widths == []
-    want = rho
-    for w in (1, 2, 3):
-        want = apply_channel(want, phase_damping_channel(0.7, 1.0), (w,))
-    assert np.linalg.norm(got - want) < 1e-12
 
 
 def test_compiled_density_step_matches_unitary_conjugation():
