@@ -7,7 +7,7 @@ simulation (`noise`), and distribution analysis (`analysis`).  The most
 commonly reached-for names are re-exported here.
 """
 
-from .analysis import Distribution, TimeAveraged, kl_divergence, time_average, tvd, vertex_distribution
+from .analysis import Distribution, kl_divergence, time_average, tvd, vertex_distribution
 from .blockdiag import blockdiag_synthesize
 from .circuit import Circuit, Gate, apply_state, circuit_unitary, count_gates, phase, rotation, xgate
 from .config import ExperimentConfig, build_initial_state, load_config, parse_config
@@ -35,7 +35,6 @@ __all__ = [
     "Gate",
     "KrausChannel",
     "NoiseConfig",
-    "TimeAveraged",
     "WalkGraph",
     "amplitude_damping_channel",
     "apply_channel",

@@ -26,12 +26,6 @@ class Distribution:
         object.__setattr__(self, "probs", probs)
 
 
-@dataclass(frozen=True)
-class TimeAveraged:
-    steps: int
-    avg: Distribution
-
-
 def vertex_distribution(state: np.ndarray, g: WalkGraph) -> Distribution:
     """Marginal vertex probabilities of a state vector or density matrix.
 
@@ -56,7 +50,7 @@ def vertex_distribution(state: np.ndarray, g: WalkGraph) -> Distribution:
     return Distribution(vertex, leaked)
 
 
-def time_average(dists: Sequence[Distribution]) -> TimeAveraged:
+def time_average(dists: Sequence[Distribution]) -> Distribution:
     """Arithmetic mean of per-step distributions (conventionally t = 1..T)."""
     if not dists:
         raise ValueError("nothing to average")
@@ -65,7 +59,7 @@ def time_average(dists: Sequence[Distribution]) -> TimeAveraged:
         raise ValueError("distributions cover different vertex sets")
     probs = np.mean([d.probs for d in dists], axis=0)
     leaked = float(np.mean([d.leaked for d in dists]))
-    return TimeAveraged(len(dists), Distribution(probs, leaked))
+    return Distribution(probs, leaked)
 
 
 def _vertex_probs(dist: Distribution | np.ndarray) -> np.ndarray:

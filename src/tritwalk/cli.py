@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import os
 import sys
 from dataclasses import replace
@@ -101,19 +100,6 @@ def _apply_overrides(noise: NoiseConfig, args: argparse.Namespace) -> NoiseConfi
     return noise
 
 
-def _keep_freed_memory() -> None:
-    """Stop glibc from handing the heap top back to the kernel every step.
-
-    Each op of a density step frees and allocates 16 * 9^width bytes, which
-    the next step would otherwise fault in again.  These are the largest
-    values glibc's own dynamic thresholds reach; without mallopt, no change.
-    """
-    with contextlib.suppress(AttributeError, OSError, TypeError):
-        libc = ctypes.CDLL(None)
-        libc.mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
-
-
 def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribution], NoiseConfig]:
     g = cfg.graph
     resolved = resolve_noise(noise)
@@ -135,7 +121,6 @@ def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribut
             dists.append(vertex_distribution(t.reshape(-1), g))
     else:
         # No name holds a density here, so each output dies once it is read.
-        _keep_freed_memory()
         run = simulate_noisy_walk(layer, g.circuit_width, np.outer(psi, psi.conj()), cfg.steps, resolved)
         dists += map(lambda rho: vertex_distribution(rho, g), run)
     return dists, resolved
@@ -178,8 +163,8 @@ def _walk_csv(cfg: ExperimentConfig, noise: NoiseConfig) -> str:
         leak = _fmt(dist.leaked)
         for label, p in zip(labels, dist.probs):
             lines.append(f"{t},{label},{_fmt(p)},{leak}")
-    leak = _fmt(avg.avg.leaked)
-    for label, p in zip(labels, avg.avg.probs):
+    leak = _fmt(avg.leaked)
+    for label, p in zip(labels, avg.probs):
         lines.append(f"avg,{label},{_fmt(p)},{leak}")
     return "\n".join(lines) + "\n"
 

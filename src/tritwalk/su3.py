@@ -39,6 +39,10 @@ __all__ = [
 
 # Below this modulus an entry's phase is unconstrained and is pinned to 0.
 _PHASE_EPS = 1e-12
+# Row v: the (Z01, Z12) angles per unit theta with which e^{i theta/3}
+# R_Z01 R_Z12 puts the phase theta on level v alone.  The literals are the
+# exact coefficients every diagonal decomposition and phase ladder shares.
+_PHASE_TABLE = ((2 / 3, 1 / 3), (-1 / 3, 1 / 3), (-1 / 3, -2 / 3))
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,12 @@ def decompose_diagonal(alpha: float, beta: float, zeta: float) -> tuple[float, t
     """Write diag(e^{ia}, e^{ib}, e^{iz}) as a global phase and two Z rotations.
 
     Returns the phase angle and (R_Z01, R_Z12) gates on wire 1; the matrix is
-    phase * Z01 * Z12 (diagonal factors commute, so order is moot).
+    phase * Z01 * Z12 (diagonal factors commute, so order is moot).  Each
+    level's phase contributes its row of _PHASE_TABLE.
     """
-    phase = (alpha + beta + zeta) / 3
-    g01 = rotation("Z01", (2 * alpha - beta - zeta) / 3, 1)
-    g12 = rotation("Z12", (alpha + beta - 2 * zeta) / 3, 1)
-    return phase, (g01, g12)
+    levels = (alpha, beta, zeta)
+    z01, z12 = (sum(row[i] * x for row, x in zip(_PHASE_TABLE, levels)) for i in (0, 1))
+    return (alpha + beta + zeta) / 3, (rotation("Z01", z01, 1), rotation("Z12", z12, 1))
 
 
 def decompose_special_diagonal(alpha: float, beta: float, variant: int = 1) -> tuple[Gate, Gate]:

@@ -35,6 +35,7 @@ from .circuit import (  # noqa: F401
     shift_gates,
     xgate,
 )
+from .su3 import _PHASE_TABLE
 
 __all__ = [
     "mc_phase_gates",
@@ -43,15 +44,6 @@ __all__ = [
     "compile_mc_x_target_first",
     "lower_circuit",
 ]
-
-# Per control value v: (psi_a, psi_b) with S(theta/3) R_Z01(psi_a) R_Z12(psi_b)
-# = diag phases (theta iff level == v, else 0).
-_PHASE_TABLE = {
-    0: (2 / 3, 1 / 3),
-    1: (-1 / 3, 1 / 3),
-    2: (-1 / 3, -2 / 3),
-}
-
 
 def _mc_rotation(
     axis: str, angle: float, controls: tuple[tuple[int, int], ...], target: int

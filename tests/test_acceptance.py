@@ -9,6 +9,7 @@ verdict.
 import time
 
 import numpy as np
+import pytest
 
 from helpers import completeness_defect, diagonal_phase_matrix, random_su3
 from tritwalk.analysis import kl_divergence, time_average, tvd, vertex_distribution
@@ -308,7 +309,7 @@ def _noiseless_average(layer, g, psi0, steps):
     for _ in range(steps):
         psi = apply_state(layer, psi)
         dists.append(vertex_distribution(psi, g))
-    return time_average(dists).avg
+    return time_average(dists)
 
 
 def test_criterion_09_noise_strength_ordering(capfd):
@@ -335,7 +336,7 @@ def test_criterion_09_noise_strength_ordering(capfd):
                     vertex_distribution(rho, g)
                     for rho in simulate_noisy_walk(layer, g.circuit_width, rho0, steps, cfg)
                 ]
-                noisy = time_average(dists).avg
+                noisy = time_average(dists)
                 metrics[eps] = (kl_divergence(ideal, noisy), tvd(ideal, noisy))
             kl_drop = metrics[1][0] > metrics[6][0]
             tv_drop = metrics[1][1] > metrics[6][1]
@@ -365,3 +366,33 @@ def test_criterion_10_distance_pins(capfd):
     self_kl = kl_divergence(p, p)
     ok = kl == 1.0 and tv == 0.5 and self_kl == 0.0
     _report(capfd, 10, ok, f"KL {kl} bits, TVD {tv}, self-KL {self_kl}")
+
+
+@pytest.mark.parametrize("kind, N, a", [("dihedral", 9, None), ("cycle", 9, 2)])
+def test_gate_noise_moves_distributions_more_than_idle_damping(kind, N, a):
+    # The paper's headline, checked where gate noise has not yet mixed the
+    # register: at epsilon <= 3 every run below reaches purity 1/3^w.
+    steps = 30
+    g = WalkGraph(kind, N, a)
+    layer = build_layer_dihedral(N, GROVER) if kind == "dihedral" else build_layer_cycle(N, GROVER, a)
+    psi0 = np.zeros(3**g.circuit_width, dtype=complex)
+    psi0[0] = 1.0
+    ideal = _noiseless_average(layer, g, psi0, steps)
+    rho0 = np.outer(psi0, psi0.conj())
+    for eps in (5, 6):
+        metrics = {}
+        for name, noise in (
+            ("gate", NoiseConfig(gate_noise_enabled=True, epsilon_exponent=eps, rng_seed=123)),
+            ("amplitude", NoiseConfig(idle_kind="amplitude", epsilon_exponent=eps, rng_seed=123)),
+            ("phase", NoiseConfig(idle_kind="phase", epsilon_exponent=eps, rng_seed=123)),
+        ):
+            dists = []
+            for rho in simulate_noisy_walk(layer, g.circuit_width, rho0, steps, noise):
+                dists.append(vertex_distribution(rho, g))
+            noisy = time_average(dists)
+            metrics[name] = (kl_divergence(ideal, noisy), tvd(ideal, noisy))
+            if name == "gate" and eps == 6:
+                assert np.vdot(rho, rho).real > 3.0 ** -g.circuit_width
+        for idle in ("amplitude", "phase"):
+            assert metrics["gate"][0] > metrics[idle][0]
+            assert metrics["gate"][1] > metrics[idle][1]

@@ -244,13 +244,6 @@ def test_refused_walk_removes_only_an_out_directory_it_made(tmp_path, capsys, mo
     assert capsys.readouterr().err.count("error:") == 2
 
 
-def test_walk_runs_where_the_c_library_has_no_mallopt(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(tritwalk.cli.ctypes, "CDLL", lambda _: object())
-    cfg = tmp_path / "c.ini"
-    cfg.write_text(TINY_DIHEDRAL)
-    assert main(["walk", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-
-
 def test_compare_self_and_noisy(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(TINY_DIHEDRAL)

@@ -1,3 +1,7 @@
+import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from functools import reduce
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 import tritwalk.circuit
 import tritwalk.noise
+from tritwalk.cli import main
 from tritwalk.circuit import apply_state, circuit_unitary, embed_gate, split_runs
 from tritwalk.noise import (
     IDLE_KINDS,
@@ -586,6 +591,57 @@ def test_simulate_validation():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         list(simulate_noisy_walk(layer, layer.width, bad, 1, NoiseConfig()))
+
+
+def test_walk_runs_where_the_c_library_has_no_mallopt(tmp_path, monkeypatch):
+    monkeypatch.setattr(tritwalk.noise.ctypes, "CDLL", lambda _: object())
+    layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
+    rho = np.zeros((27, 27), dtype=complex)
+    rho[0, 0] = 1
+    noise = NoiseConfig(idle_kind="amplitude", epsilon_exponent=2, rng_seed=1)
+    assert len(list(simulate_noisy_walk(layer, 3, rho, 3, noise))) == 3
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[graph]\nkind = dihedral\nvertices = 3\n\n[run]\nsteps = 3\n")
+    for engine in ("idle", "gate"):
+        out = tmp_path / engine
+        args = ["walk", "--config", str(cfg), "--out", str(out), "--noise", engine]
+        assert main(args + ["--epsilon", "2", "--seed", "1"]) == 0
+        assert (out / "walk.csv").is_file()
+
+
+# A bare library loop, in a fresh interpreter so that no earlier test has
+# set the allocator: 50 idle-noise steps of dihedral-27 after one warm-up.
+_FAULT_LOOP = """
+import resource
+import numpy as np
+from tritwalk.noise import NoiseConfig, simulate_noisy_walk
+from tritwalk.walk import CoinSpec, build_layer_dihedral
+
+rho = np.zeros((243, 243), dtype=complex)
+rho[0, 0] = 1
+noise = NoiseConfig(idle_kind="amplitude", epsilon_exponent=3, rng_seed=1)
+run = simulate_noisy_walk(build_layer_dihedral(27, CoinSpec("xclass", theta=np.pi)), 5, rho, 51, noise)
+next(run)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in run:
+    pass
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+def test_library_density_steps_do_not_fault_freed_memory_back_in():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("the C library has no mallopt")
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(tritwalk.noise.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULT_LOOP], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    # Without the allocator setting this loop takes about 430 faults a step.
+    assert float(out.stdout) < 20
 
 
 def test_gell_mann_basis_orthonormal_and_hermitian():

@@ -133,12 +133,36 @@ def test_lowered_layer_counts_pinned():
             assert got == want, (kind, a, n)
 
 
+def test_lowered_layer_counts_follow_linear_laws():
+    # Exact counts of fully lowered Grover-coin layers at N = 3^n: linear in
+    # N, so Theta(N) two-qutrit gates, below the paper's O(3nN) bound.
+    grover = CoinSpec("xclass", theta=np.pi)
+    laws = {
+        ("dihedral", None): (lambda n: 54 * 3**n - 12 * n - 44, lambda n: 27 * 3**n - 18),
+        ("cycle", 0): (lambda n: 18 * 3**n - 12 * n - 40, lambda n: 9 * 3**n - 18),
+        ("cycle", 2): (lambda n: 30 * 3**n - 20 * n - 66, lambda n: 15 * 3**n - 36),
+    }
+    for (kind, a), (two_law, rotation_law) in laws.items():
+        per_vertex = []
+        for n in range(2, 7):
+            if kind == "dihedral":
+                layer = build_layer_dihedral(3**n, grover)
+            else:
+                layer = build_layer_cycle(3**n, grover, a)
+            counts = count_gates(lower_circuit(layer))
+            assert counts.two_qutrit_controlled == two_law(n), (kind, a, n)
+            assert counts.one_qutrit_rotation == rotation_law(n), (kind, a, n)
+            assert counts.one_qutrit_other == counts.multi_controlled == 0, (kind, a, n)
+            per_vertex.append(counts.two_qutrit_controlled / 3**n)
+        assert all(x < y for x, y in zip(per_vertex, per_vertex[1:])), (kind, a, per_vertex)
+
+
 def test_two_qutrit_growth_approaches_three_up_to_n_7():
     # Two-qutrit counts of the lowered Grover-coin layers at N = 3^n: n = 2,
     # 4 and 5 from test_lowered_layer_counts_pinned, n = 6 and 7 lowered
     # here.  The growth ratio from n = 4 up keeps falling and stays above 3,
-    # as O(3nN) gates predicts, and criterion 07's envelope, fitted at
-    # n = 2, still bounds the counts.
+    # as the linear laws' negative offsets predict, and criterion 07's
+    # envelope, fitted at n = 2, still bounds the counts.
     grover = CoinSpec("xclass", theta=np.pi)
     families = {
         ("dihedral", None): (lambda n: 8 * n * 3 ** (n + 1) + 2, (418, 4282, 13018, 39250, 117970)),
