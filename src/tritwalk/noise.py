@@ -270,15 +270,19 @@ def _from_gell_mann(c: np.ndarray, width: int) -> np.ndarray:
 def _superop(ops: Iterable[np.ndarray], k: int, real: bool = False) -> np.ndarray:
     """Superoperator of the Kraus sum over ops on k wires.
 
-    Pair-ordered and complex by default; with ``real`` the Gell-Mann
-    transfer matrix of a trace-preserving channel, whose row 0 is exactly
-    e_0.
+    Pair-ordered and complex by default, with each population column's
+    populations summing to 1; with ``real`` the Gell-Mann transfer matrix of
+    a trace-preserving channel, whose row 0 is exactly e_0.
     """
     m = sum(np.kron(op, op.conj()) for op in ops)
     pair = _pairing(k)
     perm = pair + [2 * k + x for x in pair]
     m = m.reshape((3,) * (4 * k)).transpose(perm).reshape(9**k, 9**k)
     if not real:
+        # Pinned like row 0 below: fl(sqrt(e))^2 + fl(sqrt(1 - e))^2 can be an ulp off 1.
+        pop = np.flatnonzero(np.eye(3**k).reshape((3,) * (2 * k)).transpose(pair))
+        others = m[np.ix_(pop, pop)] * (1 - np.eye(len(pop)))
+        m[pop, pop] = 1 - others.sum(axis=0)
         return m
     to = _TO_GELL_MANN
     for _ in range(k - 1):

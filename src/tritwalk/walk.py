@@ -5,16 +5,16 @@ coin direction hops a vertices) or the 2N vertices of a dihedral-group
 Cayley graph, addressed as (reflection flag, rotation index).  Outside this
 module a vertex is one index into `WalkGraph.labels`.  The circuit
 encodes the rotation index in n base-3 digits, n the smallest power with
-N <= 3^n; when N < 3^n, remap circuits splice the spare states out of the
-cycle so they are never populated.
+N <= 3^n; when N < 3^n, one transposition after each modulo-3^n step wraps
+the valid states modulo N and maps the spare band onto itself.
 
 One layer is one walk step.  The cycle layer applies the coin on the coin
 wire and then moves the rotation register under coin-value controls: down on
 0, up on 1, and a hops up on 2.  The dihedral layer applies the coin, undoes
-it on the (unreachable) flag-2 sector so padding states stay exactly fixed,
-flips the reflection flag on coin 2, and moves the register up or down on
-coin 0 depending on the flag.  Reference unitaries for both graphs are built
-directly from the shift permutations for cross-checking the circuits.
+it on the (unreachable) flag-2 sector so only those states are exact fixed
+points, flips the reflection flag on coin 2, and moves the register up or
+down on coin 0 depending on the flag.  Reference unitaries for both graphs are
+built directly from the shift permutations for cross-checking the circuits.
 """
 
 from __future__ import annotations
@@ -226,10 +226,11 @@ def _transposition_gates(x: int, y: int, n: int) -> list[Gate]:
 def build_boundary_remap(N: int, n: int, direction: str) -> Circuit:
     """Correction after a modulo-3^n step so the walk wraps modulo N.
 
-    After increment, N must fall back to 0 and the spare states close back
-    into their original positions; after decrement, the wrap from 0 must land
-    on N - 1.  Both corrections are one cycle on the spare band, realized as
-    a star of transpositions.  Empty when N fills the register exactly.
+    After increment only N (due at 0) and 0 (from the spare 3^n - 1) are
+    wrong, after decrement only 3^n - 1 (due at N - 1) and N - 1 (from the
+    spare N), so each correction is one transposition.  Valid states move by
+    one modulo N and spare states stay spare, though not fixed.  Empty when
+    N fills the register exactly.
     """
     if direction not in ("increment", "decrement"):
         raise ValueError(f"direction must be increment or decrement, got {direction!r}")
@@ -239,13 +240,8 @@ def build_boundary_remap(N: int, n: int, direction: str) -> Circuit:
     if N == full:
         return Circuit(n)
     if direction == "increment":
-        orbit = [N, 0] + list(range(full - 1, N, -1))
-    else:
-        orbit = list(range(N - 1, full))
-    gates: list[Gate] = []
-    for other in orbit[1:]:
-        gates += _transposition_gates(orbit[0], other, n)
-    return Circuit(n, tuple(gates))
+        return Circuit(n, tuple(_transposition_gates(N, 0, n)))
+    return Circuit(n, tuple(_transposition_gates(full - 1, N - 1, n)))
 
 
 def build_rc(N: int, n: int, a: int) -> Circuit:
@@ -292,8 +288,8 @@ def build_layer_dihedral(N: int, coin: CoinSpec) -> Circuit:
 
     Wire 1 is the coin, wire 2 the reflection flag, the rest the rotation
     register.  The coin acts, is undone on the unreachable flag-2 sector (so
-    padding states are exact fixed points), coin 2 toggles the flag, and coin
-    0 moves the register up on flag 0 and down on flag 1.
+    only flag-2 states are exact fixed points), coin 2 toggles the flag, and
+    coin 0 moves the register up on flag 0 and down on flag 1.
     """
     g = WalkGraph("dihedral", N)
     n = g.n

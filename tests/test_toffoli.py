@@ -133,6 +133,30 @@ def test_lowered_layer_counts_pinned():
             assert got == want, (kind, a, n)
 
 
+@pytest.mark.parametrize(
+    "graph, N, rotations, two_qutrit",
+    [
+        ("dihedral", 5, 867, 1594),
+        ("dihedral", 10, 3295, 6370),
+        ("dihedral", 28, 11879, 23442),
+        ("cycle", 10, 1867, 3428),
+        ("cycle", 28, 6347, 12268),
+    ],
+)
+def test_padded_lowered_layer_counts_pinned(graph, N, rotations, two_qutrit):
+    # Padded Grover-coin layers (N not a power of 3, cycles with a = 2): one
+    # transposition per boundary remap keeps them near the cost of the next
+    # power of 3 (dihedral-27: 1378 two-qutrit gates, dihedral-81: 4282).
+    grover = CoinSpec("xclass", theta=np.pi)
+    if graph == "dihedral":
+        layer = build_layer_dihedral(N, grover)
+    else:
+        layer = build_layer_cycle(N, grover, 2)
+    counts = count_gates(lower_circuit(layer))
+    assert counts.multi_controlled == 0
+    assert (counts.one_qutrit_rotation, counts.two_qutrit_controlled) == (rotations, two_qutrit)
+
+
 def test_lowered_layer_counts_follow_linear_laws():
     # Exact counts of fully lowered Grover-coin layers at N = 3^n: linear in
     # N, so Theta(N) two-qutrit gates, below the paper's O(3nN) bound.

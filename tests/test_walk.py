@@ -132,32 +132,40 @@ def test_increment_carry_example():
 
 
 def test_boundary_remap_closes_cycle():
-    for N, n in [(25, 3), (26, 3), (5, 2), (7, 2), (9, 2), (3, 1)]:
+    # For every padded N on up to 4 trits, each remap is one transposition,
+    # built as one chain of 2d - 1 gates for the d digits in which its two
+    # states differ.  After the modulo-3^n step and its remap, valid states
+    # move by one modulo N and spare states stay spare, in both directions.
+    for n in (1, 2, 3, 4):
         full = 3**n
-        inc = list(build_increment(n).gates) + list(
-            build_boundary_remap(N, n, "increment").gates
-        )
-        dec = list(build_decrement(n).gates) + list(
-            build_boundary_remap(N, n, "decrement").gates
-        )
-        from tritwalk.circuit import Circuit
-
-        pi = permutation_of_circuit(Circuit(n, tuple(inc)))
-        pd = permutation_of_circuit(Circuit(n, tuple(dec)))
-        for v in range(full):
-            if v < N:
-                assert pi[v] == (v + 1) % N, (N, v)
-                assert pd[v] == (v - 1) % N, (N, v)
-            else:
-                assert pi[v] == v
-                assert pd[v] == v
+        steps = {
+            "increment": (permutation_of_circuit(build_increment(n)), 1),
+            "decrement": (permutation_of_circuit(build_decrement(n)), -1),
+        }
+        for N in range(3 ** (n - 1), full):
+            for direction, (step, delta) in steps.items():
+                remap = build_boundary_remap(N, n, direction)
+                swap = permutation_of_circuit(remap)
+                moved = np.flatnonzero(swap != np.arange(full))
+                assert len(moved) == 2, (N, direction)
+                x, y = moved
+                assert swap[x] == y and swap[y] == x
+                d = sum((x // 3**j) % 3 != (y // 3**j) % 3 for j in range(n))
+                assert len(remap) == 2 * d - 1, (N, direction)
+                p = swap[step]
+                for v in range(full):
+                    if v < N:
+                        assert p[v] == (v + delta) % N, (N, direction, v)
+                    else:
+                        assert p[v] >= N, (N, direction, v)
 
 
 def test_boundary_remap_gate_counts_25():
-    # The 27-state register with 25 live states: 6-gate increment fix,
-    # 2-gate decrement fix.
-    assert len(build_boundary_remap(25, 3, "increment")) == 6
-    assert len(build_boundary_remap(25, 3, "decrement")) == 2
+    # The 27-state register with 25 live states: 25 = 221 and 0 = 000 differ
+    # in three digits, so a 5-gate increment fix; 26 = 222 and 24 = 220 in
+    # one, so a 1-gate decrement fix.
+    assert len(build_boundary_remap(25, 3, "increment")) == 5
+    assert len(build_boundary_remap(25, 3, "decrement")) == 1
     assert len(build_boundary_remap(27, 3, "increment")) == 0
 
 
