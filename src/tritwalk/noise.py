@@ -6,7 +6,8 @@ import contextlib
 import ctypes
 import sys
 from dataclasses import dataclass, replace
-from itertools import product
+from functools import cache, partial
+from itertools import cycle, product
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -19,7 +20,6 @@ from .circuit import (  # noqa: F401
     _relabelled,
     _support,
     apply_local,
-    apply_op,
     circuit_unitary,
     embed_gate,
     register_width,
@@ -183,34 +183,47 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
     return out.reshape(dim, dim)
 
 
-# A step is one list of (tensor axes, matrix) ops, each applied by apply_op.
+# A step is one list of (tensor axes, matrix) ops, built once per run into
+# calls between preallocated buffers (_step_plan, _layer_step): one matmul
+# per square op, after one transposing copy where the op's axes are not
+# where np.tensordot would read them in place, and one np.take per gather,
+# so each density is bit-identical to applying the ops one by one with
+# apply_op.  The axis order a buffer holds is tracked while the calls are
+# built, and a step ends in the ascending order.
 # Without gate noise the density is one complex (3,)*2*width tensor, the ket
-# trits of every wire then the bra trits.  Each run of split_runs is one op
-# or two: a unitary on the k wires a run touches acts on their ket axes and
-# its conjugate on their bra axes, and an xgate run is a 1-D index that
-# gathers the flattened density.  Idle damping on that engine is not an op
-# but one in-place pass after the layer (_idle_pass): slice adds into every
-# wire's (0,0) entries, then one multiply by all wires' diagonals.  That
-# order is exact because each wire's superoperator is D + L with L inside
-# row (0,0), whose diagonal entry is 1 wherever L is not zero, so D L = L
-# and D + L = D (I + L).
+# trits of every wire then the bra trits, in two buffers.  Each run of
+# split_runs is one op or two: a unitary on the k wires a run touches acts
+# on their ket axes and its conjugate on their bra axes, and an xgate run is
+# a 1-D index that gathers the flattened density.  Idle damping on that
+# engine is not an op but one in-place pass after the layer (_idle_pass):
+# slice adds into every wire's (0,0) entries, then one multiply by all
+# wires' diagonals.  That order is exact because each wire's superoperator
+# is D + L with L inside row (0,0), whose diagonal entry is 1 wherever L is
+# not zero, so D L = L and D + L = D (I + L).
 # With gate noise the density is a real (9,)*width tensor in the per-wire
-# orthonormal Gell-Mann basis (Bertlmann & Krammer, arXiv:0806.1174); the
-# layer is lowered gate by gate into runs on at most two wires, and a run,
-# each gate with its twirl, or an idle channel is one real 9^k x 9^k
-# transfer matrix.  On both paths axis a is wire a % width + 1, and the idle
-# channel follows the layer on every wire.
+# orthonormal Gell-Mann basis (Bertlmann & Krammer, arXiv:0806.1174), in
+# three buffers; the layer is lowered gate by gate into runs on at most two
+# wires, and a run, each gate with its twirl, or an idle channel is one real
+# 9^k x 9^k transfer matrix.  On both paths axis a is wire a % width + 1,
+# and the idle channel follows the layer on every wire.
 
 # Budget: a density run on either engine holds at most _DENSITIES complex
-# densities of 16 * 9^width bytes at its peak.  Two-step walks at widths 5-7
-# peaked at 5.0 (complex) and 5.5 (Gell-Mann) densities over their plan and
-# under 10 MB fixed, with their caller holding the initial density and the
-# last output; `tritwalk walk` holds neither.  A plan adds its op list
-# (_OP_BYTES an entry: its pair, an axes tuple of at most two axes, its list
-# slot, plus 8 bytes an axis beyond two) and its matrices: 2 * 16 * 9^k bytes
-# for a unitary on k wires and its conjugate, 8 * 9^width for an xgate run's
-# gather index, and with gate noise 8 * 81^k bytes per distinct run on k
-# wires.  Idle channels and matrix-building transients are not counted.
+# densities of 16 * 9^width bytes at its peak.  Two-step walks on
+# dihedral-27 and dihedral-81 (widths 5 and 6) peaked at 5.2-5.3 (complex)
+# and 5.6-6.0 (Gell-Mann) densities over their plan, with their caller
+# holding the initial density and the last output; `tritwalk walk` holds
+# neither.  The complex engine's peak is its two buffers, the caller's two
+# densities and the yielded copy; the Gell-Mann engine's is its three real
+# buffers (1.5 densities), those two and its basis change's two complex
+# buffers.  At width 5 the Gell-Mann peak includes 0.35 densities of the
+# step's bound calls (330 kB for 559 ops), which the plan below does not
+# count.  A plan adds its op list (_OP_BYTES an entry: its pair, an axes
+# tuple of at most two axes, its list slot, plus 8 bytes an axis beyond
+# two) and its matrices: 2 * 16 * 9^k bytes for a unitary on k wires and
+# its conjugate, 8 * 9^width for an xgate run's gather index (the step keeps
+# one index per gather, composed with its buffer's axis order), and with
+# gate noise 8 * 81^k bytes per distinct run on k wires.  Idle channels and
+# matrix-building transients are not counted.
 DENSITY_BUDGET_BYTES = 2**30
 _DENSITIES = 6
 _OP_BYTES = 2 * sys.getsizeof((0, 0)) + 8
@@ -260,11 +273,16 @@ def _to_gell_mann(rho: np.ndarray, width: int) -> np.ndarray:
 
 
 def _from_gell_mann(c: np.ndarray, width: int) -> np.ndarray:
-    """The 3^width x 3^width density matrix of Gell-Mann coefficients."""
-    for axis in range(width):
-        c = apply_local(c, _FROM_GELL_MANN, (axis,))
+    """The 3^width x 3^width density matrix of Gell-Mann coefficients.
+
+    The basis change runs as one step (_layer_step) in two complex buffers,
+    and the spare one is freed before the final transposing copy, so at
+    most two complex densities are alive at once.
+    """
+    t = c.astype(complex)
+    t = _layer_step([((axis,), _FROM_GELL_MANN) for axis in range(width)], (t, np.empty_like(t)))()
     unpair = list(np.argsort(_pairing(width)))
-    return c.reshape((3,) * (2 * width)).transpose(unpair).reshape(3**width, 3**width)
+    return t.reshape((3,) * (2 * width)).transpose(unpair).reshape(3**width, 3**width)
 
 
 def _superop(ops: Iterable[np.ndarray], k: int, real: bool = False) -> np.ndarray:
@@ -472,18 +490,120 @@ def _layer_ops(layer: Circuit, p1: float | None) -> list[tuple[tuple[int, ...], 
     return placed
 
 
+def _step_plan(ops: list, shape: tuple[int, ...]) -> list[tuple]:
+    """The calls of one step of ops on a density of this shape, each from one buffer to another.
+
+    The order in which a buffer holds the axes is tracked here rather than
+    restored after every op; the density starts and ends in ascending
+    order.  A square op on axes A is one ("dot", m, columns_first): a
+    matmul with the buffer as a (d, -1) matrix whose rows run over A and
+    whose columns run over the other axes in ascending order, written in
+    that order.  If the buffer holds A then the rest, the matmul reads it
+    in C order, and if it holds the rest then A, in Fortran order
+    (columns_first); otherwise a ("copy", old order, new order) first
+    moves A to the front.  That copy, or view, and that product are the
+    ones np.tensordot makes inside apply_op, so every density is
+    bit-identical to an apply_op loop.  A gather is one ("take", index),
+    its index composed with the order the buffer holds, so it reads the
+    buffer as it lies and writes the ascending order.  After the last op,
+    one more copy restores the ascending order if needed.
+    """
+    canonical = tuple(range(len(shape)))
+    plan: list[tuple] = []
+    order = canonical
+    for axes, m in ops:
+        if m.ndim == 1:
+            if order != canonical:
+                laid = np.arange(m.size).reshape([shape[a] for a in order])
+                m = laid.transpose(np.argsort(order)).ravel()[m]
+            plan.append(("take", m))
+            order = canonical
+            continue
+        rest = tuple(a for a in canonical if a not in axes)
+        front = tuple(axes) + rest
+        columns_first = order != front and order == rest + tuple(axes)
+        if order != front and not columns_first:
+            plan.append(("copy", order, front))
+        plan.append(("dot", m, columns_first))
+        order = front
+    if order != canonical:
+        plan.append(("copy", order, canonical))
+    return plan
+
+
+def _layer_step(ops: list, bufs: tuple[np.ndarray, ...]) -> Callable[[], np.ndarray]:
+    """Build one step of ops (_step_plan) on the density in bufs[0].
+
+    The buffers share one shape, and each call writes the buffer after the
+    one it reads, cyclically.  With three buffers or more the last two
+    calls are steered so that the step ends in the buffer it started from;
+    otherwise a step can end in another one, and the steps after it run
+    the same plan bound from there.  The step returns the buffer that
+    holds its result, in ascending axis order; the next step starts from
+    that buffer and overwrites the others.
+    """
+    shape = bufs[0].shape
+    plan = _step_plan(ops, shape)
+    k = len(bufs)
+
+    @cache
+    def laid_out(b: int, order: tuple[int, ...], new: tuple[int, ...]) -> np.ndarray:
+        """Buffer b holding the axes in order, seen in order new."""
+        return bufs[b].reshape([shape[a] for a in order]).transpose([order.index(a) for a in new])
+
+    @cache
+    def matrix(b: int, d: int, columns_first: bool) -> np.ndarray:
+        return bufs[b].reshape(-1, d).T if columns_first else bufs[b].reshape(d, -1)
+
+    def bind(start: int) -> tuple[list[partial], int]:
+        seq = [(start + i) % k for i in range(len(plan) + 1)]
+        if k > 2 and len(plan) > 1:
+            if seq[-2] == start:
+                seq[-2] = (start + 1) % k
+            seq[-1] = start
+        calls = []
+        for (kind, *args), b, nxt in zip(plan, seq, seq[1:]):
+            if kind == "copy":
+                old, new = args
+                calls.append(partial(np.copyto, laid_out(nxt, new, new), laid_out(b, old, new)))
+            elif kind == "dot":
+                m, columns_first = args
+                src, dst = matrix(b, len(m), columns_first), matrix(nxt, len(m), False)
+                calls.append(partial(np.matmul, m, src, dst))
+            else:
+                # mode "clip" lets take write into out directly; "raise" buffers it.
+                src, dst = bufs[b].reshape(-1), bufs[nxt].reshape(-1)
+                calls.append(partial(np.take, src, args[0], None, dst, "clip"))
+        return calls, seq[-1]
+
+    bound = [bind(0)]
+    while bound[-1][1] != 0:
+        bound.append(bind(bound[-1][1]))
+    steps = cycle(bound)
+
+    def step() -> np.ndarray:
+        calls, out = next(steps)
+        for call in calls:
+            call()
+        return bufs[out]
+
+    return step
+
+
 def _keep_freed_memory() -> None:
     """Stop glibc from handing freed densities back to the kernel every step.
 
-    Each op of a density step frees and allocates a density-sized block,
-    which glibc's default thresholds return to the kernel and the next step
-    faults in again: a bare idle-noise loop on dihedral-27 (complex engine)
-    took 431 minor faults per step without this and 0.1 with it.  The
-    Gell-Mann engine's step time does not change (1,293 faults per step
-    against 0).  The effect is process-wide: glibc's mmap and trim
-    thresholds are raised to 32 and 64 MiB, the largest values its own
-    dynamic thresholds reach.  Where the C library has no mallopt, nothing
-    changes.
+    Each step yields a fresh density-sized copy, and the Gell-Mann engine's
+    basis change allocates two complex densities; glibc's default
+    thresholds can return such blocks to the kernel, and the next step
+    faults them in again.  When every op allocated its output, a bare
+    idle-noise loop on dihedral-27 (complex engine) took 431 minor faults
+    per step without this and 0.1 with it.  With the step in preallocated
+    buffers that loop takes 4.6 faults per step either way, and the
+    gate-noise loop 23 with it against 66 without, at the same step time.
+    The effect is process-wide: glibc's mmap and trim thresholds are
+    raised to 32 and 64 MiB, the largest values its own dynamic thresholds
+    reach.  Where the C library has no mallopt, nothing changes.
     """
     with contextlib.suppress(AttributeError, OSError, TypeError):
         libc = ctypes.CDLL(None)
@@ -538,16 +658,23 @@ def simulate_noisy_walk(
             idle_pass = _idle_pass(m, width)
 
     _keep_freed_memory()
-    t = _to_gell_mann(rho0, width) if real else rho0.reshape((3,) * (2 * width))
-    if idle_pass is not None and not ops:
-        # With no layer op to make a new tensor, t is still the caller's density.
-        t = t.copy()
-    # The frame's name would keep the initial density alive for the whole run.
+    # Either engine's first buffer is its own: the Gell-Mann coefficients, or
+    # a copy of the caller's density, which the step then never reads.  The
+    # frame's names would keep the initial density, and each gather index
+    # beside its composed copy in the step, alive for the whole run.
+    t = _to_gell_mann(rho0, width) if real else rho0.reshape((3,) * (2 * width)).copy()
     del rho0
+    # The gate-noise step alternates a transposing copy with a GEMM that BLAS
+    # splits over threads.  Cycling three buffers, each copy writes a buffer
+    # that only the copying thread has read since its last write, and each
+    # GEMM one that the same threads last read the same halves of: on
+    # dihedral-27 that step took 160-168 ms against 180-185 ms in two
+    # buffers.  The complex engine's steps timed the same either way, and
+    # its densities are twice as large, so it keeps two.
+    step = _layer_step(ops, (t,) + tuple(np.empty_like(t) for _ in range(2 if real else 1)))
+    del ops
     for _ in range(steps):
-        for op in ops:
-            t = apply_op(t, op)
+        t = step()
         if idle_pass is not None:
             idle_pass(t)
-        # One C-order copy, whether t is a gather's output or a moveaxis view.
-        yield _from_gell_mann(t, width) if real else t.copy().reshape(dim, dim)
+        yield _from_gell_mann(t, width) if real else t.reshape(dim, dim).copy()

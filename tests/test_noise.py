@@ -12,10 +12,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import tritwalk.circuit
 import tritwalk.noise
 from tritwalk.cli import main
-from tritwalk.circuit import apply_state, circuit_unitary, embed_gate, split_runs
+from tritwalk.circuit import (
+    Circuit,
+    apply_op,
+    apply_state,
+    circuit_unitary,
+    embed_gate,
+    run_matrix,
+    split_runs,
+    xgate,
+)
+from tritwalk.gates import X_KINDS
 from tritwalk.noise import (
     IDLE_KINDS,
     KrausChannel,
@@ -23,6 +32,8 @@ from tritwalk.noise import (
     _GELL_MANN,
     _from_gell_mann,
     _layer_ops,
+    _layer_step,
+    _step_plan,
     _superop,
     _to_gell_mann,
     _twirl_diagonal,
@@ -329,16 +340,16 @@ def test_idle_pass_allocates_no_density_sized_array():
 
 @pytest.mark.parametrize("kind", ["amplitude", "phase"])
 def test_idle_pass_after_a_coin_only_layer(kind):
-    # The step ends on the coin's bra op, a moveaxis view rather than a
-    # gather's fresh tensor, and the pass writes through that view.
-    from tritwalk.circuit import Circuit, rotation
+    # With no gather to write the ascending axis order, the step ends on the
+    # copy that restores it after the coin's bra op, and the pass writes
+    # into the buffer that copy filled.
+    from tritwalk.circuit import rotation
 
     layer = Circuit(3, (rotation("Y01", 0.9, 1), rotation("Z12", 0.4, 2), rotation("X02", 1.3, 1)))
+    plan = _step_plan(_layer_ops(layer, None), (3,) * 6)
+    assert [call[0] for call in plan] == ["dot", "copy", "dot", "copy"]
+    assert plan[-1][2] == tuple(range(6))
     rho = random_density(np.random.default_rng(12), 27)
-    t = rho.reshape((3,) * 6)
-    for op in _layer_ops(layer, None):
-        t = tritwalk.circuit.apply_op(t, op)
-    assert not t.flags.c_contiguous
     ch = _idle_channel(kind, 0.6, 0.2)
     u = circuit_unitary(layer)
     want = rho
@@ -428,6 +439,121 @@ def test_compiled_density_step_matches_unitary_conjugation():
             got = next(simulate_noisy_walk(c, width, rho, 1, NoiseConfig()))
             assert np.abs(got - u @ rho @ u.conj().T).max() < 1e-12
     assert subset_x_runs > 0
+
+
+def _buffers(t, count):
+    """The step's buffers: a copy of t, then count - 1 more of its shape."""
+    return (t.copy(),) + tuple(np.empty_like(t) for _ in range(count - 1))
+
+
+def _gather_op(rng, wires):
+    """The basis permutation (run_matrix) of one random xgate on a register of wires qutrits."""
+    target = int(rng.integers(1, wires + 1))
+    others = [w for w in range(1, wires + 1) if w != target]
+    controls = [(w, int(rng.integers(3))) for w in others if rng.random() < 0.4]
+    g = xgate(X_KINDS[rng.integers(len(X_KINDS))], target, controls)
+    ((axes, run),) = split_runs(Circuit(wires, (g,)))
+    return axes, run_matrix(run, axes, wires)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 5),
+    real=st.booleans(),
+    kinds=st.lists(st.sampled_from(["square", "square", "gather"]), min_size=1, max_size=6),
+    buffers=st.integers(2, 3),
+    data=st.data(),
+)
+def test_step_matches_apply_op_loop_bit_for_bit(seed, width, real, kinds, buffers, data):
+    # Real (9,)*width tensors as on the Gell-Mann engine and complex
+    # (3,)*2*width ones as on the complex engine; square ops on 1-3 axes in
+    # any order, and gathers of an xgate run on the tensor's 2*width trits.
+    # Three steps run every binding of the plan that a call count can reach.
+    rng = np.random.default_rng(seed)
+    n, size = (width, 9) if real else (2 * width, 3)
+
+    def draw(shape):
+        x = rng.normal(size=shape)
+        return x if real else x + 1j * rng.normal(size=shape)
+
+    ops = []
+    for kind in kinds:
+        if kind == "gather":
+            ops.append(_gather_op(rng, 2 * width))
+        else:
+            k = data.draw(st.integers(1, min(3, n)))
+            axes = tuple(data.draw(st.permutations(range(n)))[:k])
+            ops.append((axes, draw((size ** len(axes),) * 2)))
+    t = draw((size,) * n)
+    step = _layer_step(ops, _buffers(t, buffers))
+    for _ in range(3):
+        for op in ops:
+            t = apply_op(t, op)
+        got = step()
+        assert got.flags.c_contiguous and got.shape == t.shape
+        assert got.tobytes() == t.tobytes()
+
+
+def test_step_reads_trailing_axes_in_fortran_order():
+    # Held as the other axes then the op's, in order, the buffer is already
+    # the op's matrix in Fortran order; tensordot passes that view to BLAS
+    # as it is, and so does the step, with no copy.  Here each op leaves
+    # the buffer in that order for the next, and the second one restores
+    # the ascending order.
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(81, 81))
+    ops = [((2, 3), m), ((0, 1), m.T)]
+    assert [(call[0], call[2]) for call in _step_plan(ops, (9,) * 4)] == [("dot", True)] * 2
+    t = rng.normal(size=(9,) * 4)
+    want = apply_op(apply_op(t, ops[0]), ops[1])
+    assert _layer_step(ops, _buffers(t, 2))().tobytes() == want.tobytes()
+
+
+_COIN = CoinSpec("xclass", theta=np.pi)
+
+
+@pytest.mark.parametrize("gate_noise", [False, True], ids=["complex", "gell-mann"])
+@pytest.mark.parametrize(
+    "layer",
+    [build_layer_dihedral(27, _COIN), build_layer_cycle(81, _COIN, 2),
+     build_layer_dihedral(5, _COIN), build_layer_cycle(10, _COIN, 3)],
+    ids=["dihedral-27", "cycle-81-a2", "dihedral-5", "cycle-10-a3"],
+)
+def test_walk_layer_step_matches_apply_op_loop_bit_for_bit(layer, gate_noise):
+    # The engines' own buffer counts: two complex, three real.
+    width = layer.width
+    ops = _layer_ops(layer, 1e-3 if gate_noise else None)
+    rng = np.random.default_rng(4)
+    if gate_noise:
+        t = rng.normal(size=(9,) * width)
+    else:
+        t = random_density(rng, 3**width).reshape((3,) * (2 * width))
+    step = _layer_step(ops, _buffers(t, 3 if gate_noise else 2))
+    for _ in range(2):
+        for op in ops:
+            t = apply_op(t, op)
+        assert step().tobytes() == t.tobytes()
+
+
+@pytest.mark.parametrize("gate_noise", [False, True], ids=["complex", "gell-mann"])
+def test_built_step_allocates_less_than_a_density(gate_noise):
+    # Past its first call a width-5 step writes only into its buffers: no
+    # op makes a temporary or a fresh output, and the gather reads the
+    # buffer through its composed index, not through a flattened copy.
+    layer = build_layer_dihedral(27, _COIN)
+    ops = _layer_ops(layer, 1e-3 if gate_noise else None)
+    rng = np.random.default_rng(6)
+    t = rng.normal(size=(9,) * 5) if gate_noise else random_density(rng, 243).reshape((3,) * 10)
+    step = _layer_step(ops, _buffers(t, 3 if gate_noise else 2))
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes
 
 
 @pytest.mark.parametrize("layer", [build_layer_dihedral(27, CoinSpec("xclass", theta=np.pi)),
