@@ -7,9 +7,12 @@ optionally gated on other wires each holding a specific value in {0, 1, 2}
 unitary enters a circuit as ``phase`` plus ``params_to_circuit`` of
 ``decompose_u3``.  A :class:`Circuit` is an ordered gate list; the list order
 is temporal, so the first gate acts first and the dense unitary is the
-reversed matrix product.  ``compile_circuit`` turns a circuit into ops for
-``apply_op``: each maximal run of xgates is one basis permutation and
-each other run one unitary on the wires it touches.
+reversed matrix product.  ``compile_circuit`` turns a circuit into ops:
+each maximal run of xgates is one basis permutation and each other run one
+unitary on the wires it touches.  ``_layer_step`` runs an op list as one
+step in preallocated buffers, and every walk, noiseless or noisy, steps
+its state that way; ``apply_op`` applies one op and is the step's
+bit-for-bit reference.
 
 Gates are hashable values, and circuits are immutable once built.
 """
@@ -18,8 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
-from typing import Iterable, Sequence
+from functools import cache, partial
+from itertools import cycle, groupby
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -264,7 +268,7 @@ def run_matrix(run: Circuit, axes: Sequence[int], width: int) -> np.ndarray:
 
 
 def compile_circuit(c: Circuit) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """The (0-based axes, run_matrix) op of every run of c, for apply_op on a state."""
+    """The (0-based axes, run_matrix) op of every run of c, for a step on a state."""
     return [(axes, run_matrix(run, axes, c.width)) for axes, run in split_runs(c)]
 
 
@@ -277,6 +281,115 @@ def apply_op(t: np.ndarray, op: tuple[Sequence[int], np.ndarray]) -> np.ndarray:
     """
     axes, m = op
     return t.ravel()[m].reshape(t.shape) if m.ndim == 1 else apply_local(t, m, axes)
+
+
+# A step is one list of (tensor axes, matrix) ops, built once per run into
+# calls between preallocated buffers (_step_plan, _layer_step): one matmul
+# per square op, after one transposing copy where the op's axes are not
+# where np.tensordot would read them in place, and one np.take per gather,
+# so each tensor is bit-identical to applying the ops one by one with
+# apply_op.  The axis order a buffer holds is tracked while the calls are
+# built, and a step ends in the ascending order.
+
+
+def _step_plan(ops: list, shape: tuple[int, ...]) -> list[tuple]:
+    """The calls of one step of ops on a tensor of this shape, each from one buffer to another.
+
+    The order in which a buffer holds the axes is tracked here rather than
+    restored after every op; the tensor starts and ends in ascending
+    order.  A square op on axes A is one ("dot", m, columns_first): a
+    matmul with the buffer as a (d, -1) matrix whose rows run over A and
+    whose columns run over the other axes in ascending order, written in
+    that order.  If the buffer holds A then the rest, the matmul reads it
+    in C order, and if it holds the rest then A, in Fortran order
+    (columns_first); otherwise a ("copy", old order, new order) first
+    moves A to the front.  That copy, or view, and that product are the
+    ones np.tensordot makes inside apply_op, so every tensor is
+    bit-identical to an apply_op loop.  A gather is one ("take", index),
+    its index composed with the order the buffer holds, so it reads the
+    buffer as it lies and writes the ascending order.  After the last op,
+    one more copy restores the ascending order if needed.
+    """
+    canonical = tuple(range(len(shape)))
+    plan: list[tuple] = []
+    order = canonical
+    for axes, m in ops:
+        if m.ndim == 1:
+            if order != canonical:
+                laid = np.arange(m.size).reshape([shape[a] for a in order])
+                m = laid.transpose(np.argsort(order)).ravel()[m]
+            plan.append(("take", m))
+            order = canonical
+            continue
+        rest = tuple(a for a in canonical if a not in axes)
+        front = tuple(axes) + rest
+        columns_first = order != front and order == rest + tuple(axes)
+        if order != front and not columns_first:
+            plan.append(("copy", order, front))
+        plan.append(("dot", m, columns_first))
+        order = front
+    if order != canonical:
+        plan.append(("copy", order, canonical))
+    return plan
+
+
+def _layer_step(ops: list, bufs: tuple[np.ndarray, ...]) -> Callable[[], np.ndarray]:
+    """Build one step of ops (_step_plan) on the tensor in bufs[0].
+
+    The buffers share one shape, and each call writes the buffer after the
+    one it reads, cyclically.  With three buffers or more the last two
+    calls are steered so that the step ends in the buffer it started from;
+    otherwise a step can end in another one, and the steps after it run
+    the same plan bound from there.  The step returns the buffer that
+    holds its result, in ascending axis order; the next step starts from
+    that buffer and overwrites the others.
+    """
+    shape = bufs[0].shape
+    plan = _step_plan(ops, shape)
+    k = len(bufs)
+
+    @cache
+    def laid_out(b: int, order: tuple[int, ...], new: tuple[int, ...]) -> np.ndarray:
+        """Buffer b holding the axes in order, seen in order new."""
+        return bufs[b].reshape([shape[a] for a in order]).transpose([order.index(a) for a in new])
+
+    @cache
+    def matrix(b: int, d: int, columns_first: bool) -> np.ndarray:
+        return bufs[b].reshape(-1, d).T if columns_first else bufs[b].reshape(d, -1)
+
+    def bind(start: int) -> tuple[list[partial], int]:
+        seq = [(start + i) % k for i in range(len(plan) + 1)]
+        if k > 2 and len(plan) > 1:
+            if seq[-2] == start:
+                seq[-2] = (start + 1) % k
+            seq[-1] = start
+        calls = []
+        for (kind, *args), b, nxt in zip(plan, seq, seq[1:]):
+            if kind == "copy":
+                old, new = args
+                calls.append(partial(np.copyto, laid_out(nxt, new, new), laid_out(b, old, new)))
+            elif kind == "dot":
+                m, columns_first = args
+                src, dst = matrix(b, len(m), columns_first), matrix(nxt, len(m), False)
+                calls.append(partial(np.matmul, m, src, dst))
+            else:
+                # mode "clip" lets take write into out directly; "raise" buffers it.
+                src, dst = bufs[b].reshape(-1), bufs[nxt].reshape(-1)
+                calls.append(partial(np.take, src, args[0], None, dst, "clip"))
+        return calls, seq[-1]
+
+    bound = [bind(0)]
+    while bound[-1][1] != 0:
+        bound.append(bind(bound[-1][1]))
+    steps = cycle(bound)
+
+    def step() -> np.ndarray:
+        calls, out = next(steps)
+        for call in calls:
+            call()
+        return bufs[out]
+
+    return step
 
 
 def _invert_gate(g: Gate) -> Gate:

@@ -15,7 +15,7 @@ from .analysis import Distribution, kl_divergence, time_average, tvd, vertex_dis
 from .blockdiag import blockdiag_blocks, blockdiag_synthesize
 # apply_state and circuit_unitary are unused here but stay importable,
 # because perfbench/tracing.py patches them as tritwalk.cli attributes.
-from .circuit import apply_op, apply_state, circuit_unitary, compile_circuit, count_gates  # noqa: F401
+from .circuit import _layer_step, apply_state, circuit_unitary, compile_circuit, count_gates  # noqa: F401
 from .config import ExperimentConfig, build_initial_state, complex_entries, load_config
 from .gates import frobenius_distance
 from .noise import (
@@ -113,12 +113,10 @@ def _run_walk(cfg: ExperimentConfig, noise: NoiseConfig) -> tuple[list[Distribut
     psi = build_initial_state(cfg)
     dists = [vertex_distribution(psi, g)]
     if not noisy:
-        ops = compile_circuit(layer)
-        t = psi.reshape((3,) * layer.width)
+        t = psi.reshape((3,) * layer.width).copy()
+        step = _layer_step(compile_circuit(layer), (t, np.empty_like(t)))
         for _ in range(cfg.steps):
-            for op in ops:
-                t = apply_op(t, op)
-            dists.append(vertex_distribution(t.reshape(-1), g))
+            dists.append(vertex_distribution(step().reshape(-1), g))
     else:
         # No name holds a density here, so each output dies once it is read.
         run = simulate_noisy_walk(layer, g.circuit_width, np.outer(psi, psi.conj()), cfg.steps, resolved)

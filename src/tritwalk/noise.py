@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import sys
 from dataclasses import dataclass, replace
-from functools import cache, partial
-from itertools import cycle, product
+from itertools import product
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -17,6 +14,7 @@ import numpy as np
 from .circuit import (  # noqa: F401
     Circuit,
     Gate,
+    _layer_step,
     _relabelled,
     _support,
     apply_local,
@@ -86,7 +84,7 @@ def depolarizing_channel(k: int, p1: float) -> KrausChannel:
 
 def amplitude_damping_channel(r1: float, r2: float, t: float) -> KrausChannel:
     """Relaxation of |1> and |2> toward |0> at rates r1 and r2."""
-    if r1 < 0 or r2 < 0 or t < 0:
+    if not (r1 >= 0 and r2 >= 0 and t >= 0):
         raise ValueError("rates and duration must be nonnegative")
     e1, e2 = np.exp(-r1 * t), np.exp(-r2 * t)
     k0 = np.diag([1.0, np.sqrt(e1), np.sqrt(e2)])
@@ -99,7 +97,7 @@ def amplitude_damping_channel(r1: float, r2: float, t: float) -> KrausChannel:
 
 def phase_damping_channel(r1: float, t: float) -> KrausChannel:
     """Dephasing that mixes in a Z3 kick; diagonal states are fixed points."""
-    if r1 < 0 or t < 0:
+    if not (r1 >= 0 and t >= 0):
         raise ValueError("rate and duration must be nonnegative")
     e1 = np.exp(-r1 * t)
     return KrausChannel("phase", (np.sqrt(e1) * np.eye(3), np.sqrt(1 - e1) * _Z3))
@@ -126,14 +124,21 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         if self.idle_kind not in IDLE_KINDS:
             raise ValueError(f"unknown idle kind {self.idle_kind!r}")
-        if self.t_idle < 0:
+        # Written so that NaN fails too.
+        if not self.t_idle >= 0:
             raise ValueError("t_idle must be nonnegative")
         for name in ("p1", "r1", "r2"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.epsilon_exponent is not None and self.rng_seed is None:
-            raise ValueError("parameter draws need rng_seed")
+        if self.epsilon_exponent is not None:
+            if self.rng_seed is None:
+                raise ValueError("parameter draws need rng_seed")
+            if -self.epsilon_exponent > sys.float_info.max_10_exp:
+                raise ValueError(
+                    f"epsilon {self.epsilon_exponent} is out of range: 10^{-self.epsilon_exponent} "
+                    "is not a finite float"
+                )
 
 
 def resolve_noise(config: NoiseConfig) -> NoiseConfig:
@@ -183,13 +188,8 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
     return out.reshape(dim, dim)
 
 
-# A step is one list of (tensor axes, matrix) ops, built once per run into
-# calls between preallocated buffers (_step_plan, _layer_step): one matmul
-# per square op, after one transposing copy where the op's axes are not
-# where np.tensordot would read them in place, and one np.take per gather,
-# so each density is bit-identical to applying the ops one by one with
-# apply_op.  The axis order a buffer holds is tracked while the calls are
-# built, and a step ends in the ascending order.
+# A step is one list of (tensor axes, matrix) ops, run in preallocated
+# buffers by circuit._layer_step, the runner of the noiseless walk too.
 # Without gate noise the density is one complex (3,)*2*width tensor, the ket
 # trits of every wire then the bra trits, in two buffers.  Each run of
 # split_runs is one op or two: a unitary on the k wires a run touches acts
@@ -265,10 +265,14 @@ def _pairing(n: int) -> list[int]:
 
 
 def _to_gell_mann(rho: np.ndarray, width: int) -> np.ndarray:
-    """Real (9,)*width Gell-Mann coefficients of a Hermitian density matrix."""
-    t = rho.reshape((3,) * (2 * width)).transpose(_pairing(width)).reshape((9,) * width)
-    for axis in range(width):
-        t = apply_local(t, _TO_GELL_MANN, (axis,))
+    """Real (9,)*width Gell-Mann coefficients of a Hermitian density matrix.
+
+    The basis change runs as one step (_layer_step) in two complex buffers,
+    the first a copy of rho in pair order.
+    """
+    t = np.array(rho.reshape((3,) * (2 * width)).transpose(_pairing(width)), complex, order="C")
+    t = t.reshape((9,) * width)
+    t = _layer_step([((axis,), _TO_GELL_MANN) for axis in range(width)], (t, np.empty_like(t)))()
     return np.ascontiguousarray(t.real)
 
 
@@ -490,127 +494,6 @@ def _layer_ops(layer: Circuit, p1: float | None) -> list[tuple[tuple[int, ...], 
     return placed
 
 
-def _step_plan(ops: list, shape: tuple[int, ...]) -> list[tuple]:
-    """The calls of one step of ops on a density of this shape, each from one buffer to another.
-
-    The order in which a buffer holds the axes is tracked here rather than
-    restored after every op; the density starts and ends in ascending
-    order.  A square op on axes A is one ("dot", m, columns_first): a
-    matmul with the buffer as a (d, -1) matrix whose rows run over A and
-    whose columns run over the other axes in ascending order, written in
-    that order.  If the buffer holds A then the rest, the matmul reads it
-    in C order, and if it holds the rest then A, in Fortran order
-    (columns_first); otherwise a ("copy", old order, new order) first
-    moves A to the front.  That copy, or view, and that product are the
-    ones np.tensordot makes inside apply_op, so every density is
-    bit-identical to an apply_op loop.  A gather is one ("take", index),
-    its index composed with the order the buffer holds, so it reads the
-    buffer as it lies and writes the ascending order.  After the last op,
-    one more copy restores the ascending order if needed.
-    """
-    canonical = tuple(range(len(shape)))
-    plan: list[tuple] = []
-    order = canonical
-    for axes, m in ops:
-        if m.ndim == 1:
-            if order != canonical:
-                laid = np.arange(m.size).reshape([shape[a] for a in order])
-                m = laid.transpose(np.argsort(order)).ravel()[m]
-            plan.append(("take", m))
-            order = canonical
-            continue
-        rest = tuple(a for a in canonical if a not in axes)
-        front = tuple(axes) + rest
-        columns_first = order != front and order == rest + tuple(axes)
-        if order != front and not columns_first:
-            plan.append(("copy", order, front))
-        plan.append(("dot", m, columns_first))
-        order = front
-    if order != canonical:
-        plan.append(("copy", order, canonical))
-    return plan
-
-
-def _layer_step(ops: list, bufs: tuple[np.ndarray, ...]) -> Callable[[], np.ndarray]:
-    """Build one step of ops (_step_plan) on the density in bufs[0].
-
-    The buffers share one shape, and each call writes the buffer after the
-    one it reads, cyclically.  With three buffers or more the last two
-    calls are steered so that the step ends in the buffer it started from;
-    otherwise a step can end in another one, and the steps after it run
-    the same plan bound from there.  The step returns the buffer that
-    holds its result, in ascending axis order; the next step starts from
-    that buffer and overwrites the others.
-    """
-    shape = bufs[0].shape
-    plan = _step_plan(ops, shape)
-    k = len(bufs)
-
-    @cache
-    def laid_out(b: int, order: tuple[int, ...], new: tuple[int, ...]) -> np.ndarray:
-        """Buffer b holding the axes in order, seen in order new."""
-        return bufs[b].reshape([shape[a] for a in order]).transpose([order.index(a) for a in new])
-
-    @cache
-    def matrix(b: int, d: int, columns_first: bool) -> np.ndarray:
-        return bufs[b].reshape(-1, d).T if columns_first else bufs[b].reshape(d, -1)
-
-    def bind(start: int) -> tuple[list[partial], int]:
-        seq = [(start + i) % k for i in range(len(plan) + 1)]
-        if k > 2 and len(plan) > 1:
-            if seq[-2] == start:
-                seq[-2] = (start + 1) % k
-            seq[-1] = start
-        calls = []
-        for (kind, *args), b, nxt in zip(plan, seq, seq[1:]):
-            if kind == "copy":
-                old, new = args
-                calls.append(partial(np.copyto, laid_out(nxt, new, new), laid_out(b, old, new)))
-            elif kind == "dot":
-                m, columns_first = args
-                src, dst = matrix(b, len(m), columns_first), matrix(nxt, len(m), False)
-                calls.append(partial(np.matmul, m, src, dst))
-            else:
-                # mode "clip" lets take write into out directly; "raise" buffers it.
-                src, dst = bufs[b].reshape(-1), bufs[nxt].reshape(-1)
-                calls.append(partial(np.take, src, args[0], None, dst, "clip"))
-        return calls, seq[-1]
-
-    bound = [bind(0)]
-    while bound[-1][1] != 0:
-        bound.append(bind(bound[-1][1]))
-    steps = cycle(bound)
-
-    def step() -> np.ndarray:
-        calls, out = next(steps)
-        for call in calls:
-            call()
-        return bufs[out]
-
-    return step
-
-
-def _keep_freed_memory() -> None:
-    """Stop glibc from handing freed densities back to the kernel every step.
-
-    Each step yields a fresh density-sized copy, and the Gell-Mann engine's
-    basis change allocates two complex densities; glibc's default
-    thresholds can return such blocks to the kernel, and the next step
-    faults them in again.  When every op allocated its output, a bare
-    idle-noise loop on dihedral-27 (complex engine) took 431 minor faults
-    per step without this and 0.1 with it.  With the step in preallocated
-    buffers that loop takes 4.6 faults per step either way, and the
-    gate-noise loop 23 with it against 66 without, at the same step time.
-    The effect is process-wide: glibc's mmap and trim thresholds are
-    raised to 32 and 64 MiB, the largest values its own dynamic thresholds
-    reach.  Where the C library has no mallopt, nothing changes.
-    """
-    with contextlib.suppress(AttributeError, OSError, TypeError):
-        libc = ctypes.CDLL(None)
-        libc.mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
-
-
 def simulate_noisy_walk(
     layer: Circuit,
     width: int,
@@ -625,8 +508,8 @@ def simulate_noisy_walk(
     follows every lowered gate; without it each run of split_runs acts as
     one unitary on the wires it touches or as one basis permutation. Idle
     damping is applied once per step, after the layer, to every wire.
-    Before the first step the process's glibc allocator is set to keep
-    freed memory (_keep_freed_memory).
+    Each step runs the layer's ops in preallocated buffers
+    (circuit._layer_step).
     """
     check_density_budget(width)
     if layer.width != width:
@@ -657,7 +540,6 @@ def simulate_noisy_walk(
         else:
             idle_pass = _idle_pass(m, width)
 
-    _keep_freed_memory()
     # Either engine's first buffer is its own: the Gell-Mann coefficients, or
     # a copy of the caller's density, which the step then never reads.  The
     # frame's names would keep the initial density, and each gather index

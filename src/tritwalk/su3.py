@@ -137,7 +137,9 @@ def decompose_diagonal(alpha: float, beta: float, zeta: float) -> tuple[float, t
 
     Returns the phase angle and (R_Z01, R_Z12) gates on wire 1; the matrix is
     phase * Z01 * Z12 (diagonal factors commute, so order is moot).  Each
-    level's phase contributes its row of _PHASE_TABLE.
+    level's phase contributes its row of _PHASE_TABLE.  No library code
+    calls it; it is public because acceptance criterion 02 reproduces the
+    paper's diagonal forms with it.
     """
     levels = (alpha, beta, zeta)
     z01, z12 = (sum(row[i] * x for row, x in zip(_PHASE_TABLE, levels)) for i in (0, 1))
@@ -148,6 +150,8 @@ def decompose_special_diagonal(alpha: float, beta: float, variant: int = 1) -> t
     """Two-rotation forms of diag(e^{ia}, e^{ib}, e^{-i(a+b)}).
 
     Three equivalent variants exist; all three reconstruct the same matrix.
+    No library code calls it; it is public because acceptance criterion 02
+    reproduces the paper's three special-diagonal forms with it.
     """
     if variant == 1:
         pair = rotation("Z01", alpha, 1), rotation("Z12", alpha + beta, 1)

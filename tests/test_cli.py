@@ -417,6 +417,8 @@ def test_width_8_walk_is_refused_before_its_layer_or_state(tmp_path, capsys, mon
         ["synth-su3", "{tmp}/missing.txt"],
         ["synth-blockdiag", "{tmp}/missing.txt"],
         ["walk", "--config", "{tmp}/c.ini", "--out", "{tmp}/taken"],
+        ["walk", "--config", "{tmp}/nan.ini", "--out", "{tmp}/out"],
+        ["walk", "--config", "{tmp}/c.ini", "--out", "{tmp}/out", "--epsilon", "-400", "--seed", "1"],
         ["count", "--graph", "cycle", "--n-max", "1", "--out", "{tmp}/taken"],
         ["count", "--graph", "cycle", "--n-min", "0"],
         ["count", "--graph", "dihedral", "--liveliness", "2"],
@@ -425,19 +427,23 @@ def test_width_8_walk_is_refused_before_its_layer_or_state(tmp_path, capsys, mon
         "su3-missing",
         "blockdiag-missing",
         "walk-out-is-file",
+        "walk-r1-nan",
+        "walk-epsilon-overflow",
         "count-out-is-file",
         "count-n-min-0",
         "count-dihedral-liveliness",
     ],
 )
 def test_input_and_output_errors_are_one_line(tmp_path, capsys, monkeypatch, argv):
-    # Unreadable inputs and an --out that names a file, not a directory, are
-    # refused before any walk step runs.
+    # Unreadable inputs, noise parameters that cannot be used and an --out
+    # that names a file, not a directory, are refused before any walk step
+    # is built, and leave no --out directory behind.
     def no_step(*args):
-        raise AssertionError("a walk step ran before the error")
+        raise AssertionError("a walk step was built before the error")
 
-    monkeypatch.setattr(tritwalk.cli, "apply_op", no_step)
+    monkeypatch.setattr(tritwalk.cli, "_layer_step", no_step)
     (tmp_path / "c.ini").write_text(TINY_CYCLE)
+    (tmp_path / "nan.ini").write_text(TINY_CYCLE + "\n[noise]\nidle = phase\nr1 = nan\n")
     (tmp_path / "taken").write_text("a file\n")
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 1
     captured = capsys.readouterr()
@@ -445,3 +451,4 @@ def test_input_and_output_errors_are_one_line(tmp_path, capsys, monkeypatch, arg
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    assert not (tmp_path / "out").exists()

@@ -97,6 +97,10 @@ def test_custom_coin_matrix():
         "[noise]\nidle_scope = nearby\n",
         "[noise]\nidle_scope = untouched\n",  # idle damping acts on every wire
         "[noise]\nepsilon = 3\n",  # draw without seed
+        "[noise]\nepsilon = -309\nseed = 1\n",  # 10^309 is not a finite float
+        "[noise]\np1 = nan\n",
+        "[noise]\nr1 = nan\n",
+        "[noise]\nt_idle = nan\n",
     ],
 )
 def test_fail_closed(mutation):

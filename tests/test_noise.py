@@ -1,4 +1,3 @@
-import ctypes
 import os
 import subprocess
 import sys
@@ -13,12 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tritwalk.noise
-from tritwalk.cli import main
 from tritwalk.circuit import (
     Circuit,
+    _layer_step,
+    _step_plan,
+    apply_local,
     apply_op,
     apply_state,
     circuit_unitary,
+    compile_circuit,
     embed_gate,
     run_matrix,
     split_runs,
@@ -30,10 +32,10 @@ from tritwalk.noise import (
     KrausChannel,
     NoiseConfig,
     _GELL_MANN,
+    _TO_GELL_MANN,
     _from_gell_mann,
     _layer_ops,
-    _layer_step,
-    _step_plan,
+    _pairing,
     _superop,
     _to_gell_mann,
     _twirl_diagonal,
@@ -119,6 +121,15 @@ def test_kraus_channel_validation():
         amplitude_damping_channel(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         phase_damping_channel(0.1, -1.0)
+    for args in [(np.nan, 0.0, 1.0), (0.1, np.nan, 1.0), (0.1, 0.2, np.nan)]:
+        with pytest.raises(ValueError):
+            amplitude_damping_channel(*args)
+    for args in [(np.nan, 1.0), (0.1, np.nan)]:
+        with pytest.raises(ValueError):
+            phase_damping_channel(*args)
+    # Infinite rates or durations are full damping.
+    assert completeness_defect(amplitude_damping_channel(np.inf, 0.1, 1.0)) < 1e-12
+    assert completeness_defect(phase_damping_channel(0.1, np.inf)) < 1e-12
 
 
 def test_apply_channel_matches_kron_oracle():
@@ -159,8 +170,17 @@ def test_noise_config_validation():
         NoiseConfig(idle_kind="thermal")
     with pytest.raises(ValueError):
         NoiseConfig(p1=-0.1)
+    for name in ("p1", "r1", "r2", "t_idle"):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            NoiseConfig(**{name: np.nan})
+        NoiseConfig(**{name: np.inf})
     with pytest.raises(ValueError):
         NoiseConfig(epsilon_exponent=3)  # no seed
+    # 10^309 overflows a float; 10^308 and 10^-400 (zero) do not.
+    with pytest.raises(ValueError, match="epsilon -309 is out of range"):
+        NoiseConfig(epsilon_exponent=-309, rng_seed=1)
+    for eps in (-308, 400):
+        resolve_noise(NoiseConfig(epsilon_exponent=eps, rng_seed=1))
     with pytest.raises(ValueError):
         resolve_noise(NoiseConfig(gate_noise_enabled=True))
     with pytest.raises(ValueError):
@@ -513,23 +533,29 @@ def test_step_reads_trailing_axes_in_fortran_order():
 _COIN = CoinSpec("xclass", theta=np.pi)
 
 
-@pytest.mark.parametrize("gate_noise", [False, True], ids=["complex", "gell-mann"])
+@pytest.mark.parametrize("engine", ["state", "complex", "gell-mann"])
 @pytest.mark.parametrize(
     "layer",
     [build_layer_dihedral(27, _COIN), build_layer_cycle(81, _COIN, 2),
      build_layer_dihedral(5, _COIN), build_layer_cycle(10, _COIN, 3)],
     ids=["dihedral-27", "cycle-81-a2", "dihedral-5", "cycle-10-a3"],
 )
-def test_walk_layer_step_matches_apply_op_loop_bit_for_bit(layer, gate_noise):
-    # The engines' own buffer counts: two complex, three real.
+def test_walk_layer_step_matches_apply_op_loop_bit_for_bit(layer, engine):
+    # The walks' own ops and buffer counts: the noiseless walk's compiled
+    # runs on a state vector and the complex density engine's in two
+    # buffers, the Gell-Mann engine's in three.
     width = layer.width
-    ops = _layer_ops(layer, 1e-3 if gate_noise else None)
     rng = np.random.default_rng(4)
-    if gate_noise:
-        t = rng.normal(size=(9,) * width)
-    else:
+    if engine == "state":
+        ops = compile_circuit(layer)
+        t = rng.normal(size=(3,) * width) + 1j * rng.normal(size=(3,) * width)
+    elif engine == "complex":
+        ops = _layer_ops(layer, None)
         t = random_density(rng, 3**width).reshape((3,) * (2 * width))
-    step = _layer_step(ops, _buffers(t, 3 if gate_noise else 2))
+    else:
+        ops = _layer_ops(layer, 1e-3)
+        t = rng.normal(size=(9,) * width)
+    step = _layer_step(ops, _buffers(t, 3 if engine == "gell-mann" else 2))
     for _ in range(2):
         for op in ops:
             t = apply_op(t, op)
@@ -719,24 +745,8 @@ def test_simulate_validation():
         list(simulate_noisy_walk(layer, layer.width, bad, 1, NoiseConfig()))
 
 
-def test_walk_runs_where_the_c_library_has_no_mallopt(tmp_path, monkeypatch):
-    monkeypatch.setattr(tritwalk.noise.ctypes, "CDLL", lambda _: object())
-    layer = build_layer_dihedral(3, CoinSpec("xclass", theta=np.pi))
-    rho = np.zeros((27, 27), dtype=complex)
-    rho[0, 0] = 1
-    noise = NoiseConfig(idle_kind="amplitude", epsilon_exponent=2, rng_seed=1)
-    assert len(list(simulate_noisy_walk(layer, 3, rho, 3, noise))) == 3
-    cfg = tmp_path / "c.ini"
-    cfg.write_text("[graph]\nkind = dihedral\nvertices = 3\n\n[run]\nsteps = 3\n")
-    for engine in ("idle", "gate"):
-        out = tmp_path / engine
-        args = ["walk", "--config", str(cfg), "--out", str(out), "--noise", engine]
-        assert main(args + ["--epsilon", "2", "--seed", "1"]) == 0
-        assert (out / "walk.csv").is_file()
-
-
 # A bare library loop, in a fresh interpreter so that no earlier test has
-# set the allocator: 50 idle-noise steps of dihedral-27 after one warm-up.
+# shaped the heap: 50 idle-noise steps of dihedral-27 after one warm-up.
 _FAULT_LOOP = """
 import resource
 import numpy as np
@@ -756,17 +766,12 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
 
 
 def test_library_density_steps_do_not_fault_freed_memory_back_in():
-    try:
-        ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        pytest.skip("the C library has no mallopt")
     pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(tritwalk.noise.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run(
         [sys.executable, "-c", _FAULT_LOOP], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    # Without the allocator setting this loop takes about 430 faults a step.
     assert float(out.stdout) < 20
 
 
@@ -788,6 +793,20 @@ def test_gell_mann_round_trip():
         assert c.dtype == np.float64 and c.shape == (9,) * width
         assert abs(c.reshape(-1)[0] * 3 ** (width / 2) - 1) < 1e-14  # trace
         assert np.abs(_from_gell_mann(c, width) - rho).max() < 1e-14
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_to_gell_mann_matches_apply_local_loop_bit_for_bit(width):
+    rng = np.random.default_rng(70 + width)
+    rho = random_density(rng, 3**width)
+    before = rho.copy()
+    t = rho.reshape((3,) * (2 * width)).transpose(_pairing(width)).reshape((9,) * width)
+    for axis in range(width):
+        t = apply_local(t, _TO_GELL_MANN, (axis,))
+    got = _to_gell_mann(rho, width)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(t.real).tobytes()
+    assert rho.tobytes() == before.tobytes()
 
 
 def test_trace_preserving_transfer_matrices_keep_e0():
