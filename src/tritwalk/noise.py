@@ -6,6 +6,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterable, Iterator
+from zlib import crc32
 
 import numpy as np
 
@@ -82,11 +83,16 @@ def depolarizing_channel(k: int, p1: float) -> KrausChannel:
     return KrausChannel("depolarizing", tuple(ops))
 
 
+def _survival(r: float, t: float) -> float:
+    """exp(-r t), with no decay at a zero rate or duration, where 0 * inf is NaN."""
+    return 1.0 if r == 0 or t == 0 else np.exp(-r * t)
+
+
 def amplitude_damping_channel(r1: float, r2: float, t: float) -> KrausChannel:
     """Relaxation of |1> and |2> toward |0> at rates r1 and r2."""
     if not (r1 >= 0 and r2 >= 0 and t >= 0):
         raise ValueError("rates and duration must be nonnegative")
-    e1, e2 = np.exp(-r1 * t), np.exp(-r2 * t)
+    e1, e2 = _survival(r1, t), _survival(r2, t)
     k0 = np.diag([1.0, np.sqrt(e1), np.sqrt(e2)])
     k1 = np.zeros((3, 3))
     k1[0, 1] = np.sqrt(1 - e1)
@@ -99,7 +105,7 @@ def phase_damping_channel(r1: float, t: float) -> KrausChannel:
     """Dephasing that mixes in a Z3 kick; diagonal states are fixed points."""
     if not (r1 >= 0 and t >= 0):
         raise ValueError("rate and duration must be nonnegative")
-    e1 = np.exp(-r1 * t)
+    e1 = _survival(r1, t)
     return KrausChannel("phase", (np.sqrt(e1) * np.eye(3), np.sqrt(1 - e1) * _Z3))
 
 
@@ -215,7 +221,13 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
 # neither.  The complex engine's peak is its two buffers, the caller's two
 # densities and the yielded copy; the Gell-Mann engine's is its three real
 # buffers (1.5 densities), those two and its basis change's two complex
-# buffers.  At width 5 the Gell-Mann peak includes 0.35 densities of the
+# buffers.  A candidate cycle of p <= _MAX_PERIOD steps holds p copies of
+# the real tensor (0.5 densities each) through p steps without a basis
+# change; once it is confirmed, the walk holds p densities and the copy it
+# yields, and no step.  So the peak stays at the basis change: 5.7-5.9
+# densities over the plan, as without the cycle check, for criterion 08's
+# walk and for noisy-dihedral27 at seed 2, through their cycles of one and
+# two steps.  At width 5 the Gell-Mann peak includes 0.35 densities of the
 # step's bound calls (330 kB for 559 ops), which the plan below does not
 # count.  A plan adds its op list (_OP_BYTES an entry: its pair, an axes
 # tuple of at most two axes, its list slot, plus 8 bytes an axis beyond
@@ -226,6 +238,9 @@ def apply_channel(rho: np.ndarray, ch: KrausChannel, wires: tuple[int, ...]) -> 
 # matrix-building transients are not counted.
 DENSITY_BUDGET_BYTES = 2**30
 _DENSITIES = 6
+# The longest cycle of Gell-Mann tensors a gate-noise walk stops stepping
+# for: it then holds that many densities.
+_MAX_PERIOD = 2
 _OP_BYTES = 2 * sys.getsizeof((0, 0)) + 8
 
 
@@ -509,7 +524,11 @@ def simulate_noisy_walk(
     one unitary on the wires it touches or as one basis permutation. Idle
     damping is applied once per step, after the layer, to every wire.
     Each step runs the layer's ops in preallocated buffers
-    (circuit._layer_step).
+    (circuit._layer_step). With gate noise, once the Gell-Mann
+    coefficients of step k + p equal those of step k bit for bit, for a
+    period p of one or two steps, every later step repeats that cycle, so
+    the run frees its step and yields a fresh copy of the cycle's densities
+    for each step left; longer cycles are stepped through.
     """
     check_density_budget(width)
     if layer.width != width:
@@ -555,8 +574,41 @@ def simulate_noisy_walk(
     # its densities are twice as large, so it keeps two.
     step = _layer_step(ops, (t,) + tuple(np.empty_like(t) for _ in range(2 if real else 1)))
     del ops
-    for _ in range(steps):
+    if not real:
+        for _ in range(steps):
+            t = step()
+            if idle_pass is not None:
+                idle_pass(t)
+            yield t.reshape(dim, dim).copy()
+        return
+    # A step is a fixed list of calls on the same buffers, so once step
+    # k + p returns the tensor of step k bit for bit, the walk repeats those
+    # p densities for good.  A digest of each tensor flags a candidate
+    # period; the next p steps, stepped without a basis change and kept,
+    # confirm it bit for bit, or the walk steps on from step k again.
+    recent: list[int] = []  # digests of the last _MAX_PERIOD tensors, newest first
+    done = 0
+    while done < steps:
         t = step()
-        if idle_pass is not None:
-            idle_pass(t)
-        yield _from_gell_mann(t, width) if real else t.reshape(dim, dim).copy()
+        done += 1
+        yield _from_gell_mann(t, width)
+        digest = crc32(t)
+        period = recent.index(digest) + 1 if digest in recent else 0
+        recent = [digest] + recent[: _MAX_PERIOD - 1]
+        if not period or done + period > steps:
+            continue
+        cycle = [t.copy()] + [step().copy() for _ in range(period - 1)]
+        # Bit patterns, not floats: == equates -0.0 with 0.0 and never matches NaN.
+        if np.array_equal(step().view(np.uint64), cycle[0].view(np.uint64)):
+            break
+        # Only the digests matched: step on from step k's tensor, put back
+        # in the buffer that the step returns and reads next.
+        t[...] = cycle[0]
+        del cycle
+    else:
+        return
+    del step, t
+    # Popped, so that each tensor is freed once it is converted.
+    densities = [_from_gell_mann(cycle.pop(0), width) for _ in range(period)]
+    for i in range(1, steps - done + 1):
+        yield densities[i % period].copy()

@@ -228,6 +228,22 @@ def test_walk_idle_noise_needs_no_idle_scope(tmp_path, capsys):
         assert rows != [l for l in ideal if not l.startswith("#")]
 
 
+@pytest.mark.parametrize("rates", ["idle = phase\nr1 = 0", "idle = amplitude\nr1 = 0\nr2 = 0"],
+                         ids=["phase", "amplitude"])
+def test_zero_rate_idle_damping_does_not_decay_in_unbounded_time(tmp_path, capsys, rates):
+    # exp(-0 * inf) is NaN; a zero rate is no decay at any duration, so the
+    # walk is the one it is at t_idle = 1, apart from its # t_idle= line.
+    def rows(t_idle):
+        cfg = tmp_path / f"{t_idle}.ini"
+        cfg.write_text(TINY_CYCLE + f"\n[noise]\n{rates}\nt_idle = {t_idle}\n")
+        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / t_idle)]) == 0
+        return read_rows(tmp_path / t_idle / "walk.csv")[1]
+
+    unbounded = rows("inf")
+    assert not any(np.isnan(p) or np.isnan(leak) for _, _, p, leak in unbounded)
+    assert unbounded == rows("1")
+
+
 def test_refused_walk_removes_only_an_out_directory_it_made(tmp_path, capsys, monkeypatch):
     import tritwalk.noise
 

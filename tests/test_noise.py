@@ -132,6 +132,16 @@ def test_kraus_channel_validation():
     assert completeness_defect(phase_damping_channel(0.1, np.inf)) < 1e-12
 
 
+@pytest.mark.parametrize("r, t", [(0.0, np.inf), (np.inf, 0.0)], ids=["rate-0-time-inf", "rate-inf-time-0"])
+def test_damping_with_a_zero_rate_or_duration_is_the_identity(r, t):
+    # exp(-r t) is NaN at 0 * inf; no rate, or no time, is no decay.
+    rho = random_density(np.random.default_rng(8), 3)
+    for ch in (amplitude_damping_channel(r, r, t), phase_damping_channel(r, t)):
+        assert np.isfinite(np.array(ch.operators)).all()
+        assert completeness_defect(ch) == 0
+        assert np.array_equal(apply_channel(rho, ch, (1,)), rho)
+
+
 def test_apply_channel_matches_kron_oracle():
     rng = np.random.default_rng(17)
     rho = random_density(rng, 9)
@@ -1016,3 +1026,129 @@ def test_phase_damping_holds_trace_over_many_steps():
     noise = NoiseConfig(idle_kind="phase", r1=0.2, t_idle=0.5)
     for out in simulate_noisy_walk(layer, 3, rho, 1000, noise):
         assert abs(np.trace(out) - 1) < 1e-13
+
+
+def _gell_mann_walk_without_exit(layer, rho, steps, noise):
+    """The gate-noise engine's densities with every step stepped, each with
+    the shortest lag p <= 2 at which its tensor repeats an earlier one, or 0."""
+    cfg = resolve_noise(noise)
+    width = layer.width
+    ops = _layer_ops(layer, cfg.p1)
+    if cfg.idle_kind != "none":
+        m = _superop(_idle_channel(cfg.idle_kind, cfg.r1, cfg.r2, cfg.t_idle).operators, 1, True)
+        ops += [((w,), m) for w in range(width)]
+    t = _to_gell_mann(rho, width)
+    step = _layer_step(ops, _buffers(t, 3))
+    recent = []
+    for _ in range(steps):
+        t = step()
+        bits = t.tobytes()
+        yield _from_gell_mann(t, width), recent.index(bits) + 1 if bits in recent else 0
+        recent = [bits] + recent[:1]
+
+
+def _origin(width):
+    rho = np.zeros((3**width, 3**width), dtype=complex)
+    rho[0, 0] = 1
+    return rho
+
+
+def _gate_noise(epsilon, seed, idle_kind="none"):
+    return NoiseConfig(gate_noise_enabled=True, idle_kind=idle_kind, epsilon_exponent=epsilon, rng_seed=seed)
+
+
+def _assert_walk_matches(layer, noise, steps):
+    """Every yield of the walk equals the stepped one as bytes; returns the stepped walk's repeats."""
+    rho = _origin(layer.width)
+    want = _gell_mann_walk_without_exit(layer, rho, steps, noise)
+    got = simulate_noisy_walk(layer, layer.width, rho, steps, noise)
+    repeats = []
+    for t, ((expected, period), out) in enumerate(zip(want, got, strict=True), start=1):
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes(), t
+        if period:
+            repeats.append((t, period))
+    return repeats
+
+
+@pytest.mark.parametrize(
+    "epsilon, seed, steps, first",
+    [(3, 123, 300, (17, 1)), (3, 123, 16, None), (3, 123, 17, (17, 1)), (3, 123, 0, None),
+     (3, 5, 300, (17, 2)), (5, 1, 300, None)],
+    ids=["fixed-point", "before-the-repeat", "at-the-repeat", "no-steps", "two-step-cycle", "never-repeating"],
+)
+def test_cycle_exit_yields_the_densities_of_every_step(epsilon, seed, steps, first):
+    # On dihedral-9 at epsilon = 3, step 17 repeats step 16 bit for bit at
+    # seed 123 and step 15 at seed 5, and from there the engine yields
+    # copies instead of stepping; at epsilon = 5 no step repeats in 300.
+    repeats = _assert_walk_matches(build_layer_dihedral(9, _COIN), _gate_noise(epsilon, seed), steps)
+    assert repeats[:1] == ([] if first is None else [first])
+    if first is not None:
+        assert repeats == [(t, first[1]) for t in range(first[0], steps + 1)]
+
+
+@pytest.mark.parametrize("digests", ["constant", "alternating"])
+@pytest.mark.parametrize("seed", [123, 5], ids=["fixed-point", "two-step-cycle"])
+def test_cycle_exit_steps_on_when_only_the_digests_match(monkeypatch, digests, seed):
+    # A constant digest flags a fixed point after every step, and an
+    # alternating one a two-step cycle; each is refuted bit for bit until
+    # the walk's own cycle, so the yields stay those of the stepped walk.
+    parity = iter(range(10**6))
+    fake = (lambda t: 0) if digests == "constant" else (lambda t: next(parity) % 2)
+    monkeypatch.setattr(tritwalk.noise, "crc32", fake)
+    _assert_walk_matches(build_layer_dihedral(9, _COIN), _gate_noise(3, seed), 40)
+
+
+@pytest.mark.parametrize("seed", [123, 5], ids=["fixed-point", "two-step-cycle"])
+def test_densities_yielded_past_a_cycle_are_the_callers_own(seed):
+    # From the cycle on the engine yields copies of its stored densities:
+    # each is a distinct writable array, and writing into one changes no
+    # later one.
+    layer = build_layer_dihedral(9, _COIN)
+    rho = _origin(layer.width)
+    noise = _gate_noise(3, seed)
+    want = [expected for expected, _ in _gell_mann_walk_without_exit(layer, rho, 24, noise)]
+    seen = []
+    for t, out in enumerate(simulate_noisy_walk(layer, layer.width, rho, 24, noise)):
+        assert out.tobytes() == want[t].tobytes(), t
+        assert out.flags.writeable and not any(np.shares_memory(out, old) for old in seen), t
+        out[...] = np.nan
+        seen.append(out)
+
+
+def _traced_bytes(arrays):
+    """Traced bytes of numpy array data, or with arrays=False of everything else."""
+    keep = tracemalloc.DomainFilter(arrays, np.lib.tracemalloc_domain)
+    return sum(stat.size for stat in tracemalloc.take_snapshot().filter_traces([keep]).statistics("filename"))
+
+
+@pytest.mark.parametrize("seed, cycle, period", [(77, 9, 1), (2, 19, 2)], ids=["fixed-point", "two-step-cycle"])
+def test_gate_noise_walk_through_a_cycle_stays_within_its_densities(seed, cycle, period):
+    # Criterion 08's walk (seed 77) repeats step 8 at step 9, and at seed 2
+    # step 19 repeats step 17.  With the caller holding the initial density
+    # and the last output, the walk peaks at the basis change through the
+    # cycle and past it: the caller's two densities, the three real buffers
+    # and two complex ones, 5.5 densities over its plan's matrices and its
+    # Python objects (the step's bound calls among them), which the budget
+    # does not count.  From the cycle on it holds its period's densities,
+    # and neither its plan (4.5 densities) nor its buffers (1.5).
+    layer = build_layer_dihedral(27, _COIN)
+    noise = _gate_noise(3, seed, "amplitude")
+    p1 = resolve_noise(noise).p1
+    density = 16 * 9**5
+    tracemalloc.start()
+    try:
+        ops = _layer_ops(layer, p1)
+        plan = _traced_bytes(True)
+        del ops
+        rho = _origin(5)
+        held = []
+        for out in simulate_noisy_walk(layer, 5, rho, cycle + 3, noise):
+            if not held:
+                objects = _traced_bytes(False)
+                tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - plan - objects < 5.75 * density < tritwalk.noise._DENSITIES * density
+    assert max(held[cycle:]) - objects < (2.5 + period) * density
